@@ -101,7 +101,7 @@ class CallbackUnderLockRule(_ConcRule):
     fix = (
         "copy the callback list (and its arguments) while holding the "
         "lock, then invoke every callback after release -- see "
-        "BenchmarkCache.put_benchmark for the canonical shape"
+        "BenchmarkCache.put_benchmarks for the canonical shape"
     )
 
 

@@ -53,9 +53,10 @@ class KernelBenchmark:
     policy: BatchSizePolicy
     results: dict[int, list[PerfResult]] = field(default_factory=dict)
     benchmark_time: float = 0.0
-    #: Query memo for :meth:`fastest_micro` / :meth:`micro_options`, keyed by
-    #: (kind, size, limit bucket).  Two limits that admit the same result rows
-    #: at a size share a bucket, so limit sweeps stop rescanning the table.
+    #: Query memo.  :meth:`fastest_micro` / :meth:`micro_options` key on
+    #: (kind, size, limit bucket); the WR ``T1`` table keys on
+    #: :meth:`t1_bucket` and scans each size's rows directly.  Limits that
+    #: admit the same rows share a bucket, so limit sweeps stop rescanning.
     _query_cache: dict = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -94,10 +95,8 @@ class KernelBenchmark:
         key = ("step_union",)
         union = self._query_cache.get(key)
         if union is None:
-            points: set[int] = set()
-            for size in self.sizes:
-                points.update(self.workspace_steps(size))
-            union = sorted(points)
+            union = sorted({r.workspace for rows in self.results.values()
+                            for r in rows})
             self._query_cache[key] = union
         return union
 
@@ -204,13 +203,16 @@ class KernelBenchmark:
     def _compute_fastest_micro(
         self, micro_batch: int, workspace_limit: int | None
     ) -> MicroConfig | None:
-        best: MicroConfig | None = None
+        # First strict minimum; refreshed or imported rows may be unsorted.
+        best: PerfResult | None = None
         for res in self.results.get(micro_batch, ()):
             if workspace_limit is not None and res.workspace > workspace_limit:
                 continue
             if best is None or res.time < best.time:
-                best = MicroConfig(micro_batch, res.algo, res.time, res.workspace)
-        return best
+                best = res
+        if best is None:
+            return None
+        return MicroConfig(micro_batch, best.algo, best.time, best.workspace)
 
 
 def _aggregate_samples(runs: list[list[PerfResult]]) -> list[PerfResult]:
@@ -269,9 +271,11 @@ def benchmark_kernel(
         sizes = candidate_sizes(policy, geometry.n)
         found_map: dict[int, list[PerfResult]] = {}
         pending: list[int] = []
-        for size in sizes:
-            g = geometry.with_batch(size)
-            cached = cache.get_benchmark(gpu_name, g) if cache is not None else None
+        cached_rows: list[list[PerfResult] | None] = (
+            cache.get_benchmarks(gpu_name, geometry, sizes)
+            if cache is not None else [None] * len(sizes)
+        )
+        for size, cached in zip(sizes, cached_rows):
             if cached is not None:
                 found_map[size] = cached
             else:
@@ -285,7 +289,6 @@ def benchmark_kernel(
             all_results = None
 
         for idx, size in enumerate(pending):
-            g = geometry.with_batch(size)
             # One benchmark unit: every algorithm at one micro-batch size,
             # as a single cudnnFind* invocation measures them.
             with telemetry.span("benchmark.find", size=size) as unit:
@@ -294,6 +297,7 @@ def benchmark_kernel(
                     unit_time = sum(r.time for r in run)
                     found = run
                 else:
+                    g = geometry.with_batch(size)
                     unit_time = 0.0
                     runs = []
                     for _ in range(samples):
@@ -318,9 +322,10 @@ def benchmark_kernel(
                     "benchmark.unit_seconds", unit_time,
                     help="simulated device seconds per benchmark unit",
                 )
-            if cache is not None:
-                cache.put_benchmark(gpu_name, g, found)
             found_map[size] = found
+        if cache is not None and pending:
+            cache.put_benchmarks(gpu_name, geometry,
+                                 {size: found_map[size] for size in pending})
 
         for size in sizes:
             found = found_map[size]

@@ -21,7 +21,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Mapping
 
 import repro.telemetry as telemetry
 from repro.core.config import Configuration
@@ -37,6 +37,17 @@ _FORMAT_VERSION = 1
 
 def _bench_key(gpu_name: str, geometry: ConvGeometry) -> str:
     return f"{gpu_name}|{geometry.cache_key()}"
+
+
+def _bench_key_template(gpu_name: str, geometry: ConvGeometry) -> tuple[str, str]:
+    """``(head, tail)`` with ``head + str(n) + tail`` the key at batch ``n``.
+
+    Splits :func:`_bench_key` around the batch digits, so a kernel's keys at
+    every micro-batch size come from one ``cache_key()`` call instead of one
+    :class:`~repro.cudnn.descriptors.ConvGeometry` per size.
+    """
+    head, sep, rest = geometry.cache_key().partition(":n")
+    return f"{gpu_name}|{head}{sep}", rest[len(str(geometry.n)):]
 
 
 def _parse_bench_section(section: object, where: str) -> dict[str, list[PerfResult]]:
@@ -177,27 +188,45 @@ class BenchmarkCache:
     def get_benchmark(
         self, gpu_name: str, geometry: ConvGeometry
     ) -> list[PerfResult] | None:
+        return self.get_benchmarks(gpu_name, geometry, (geometry.n,))[0]
+
+    def get_benchmarks(
+        self, gpu_name: str, geometry: ConvGeometry, sizes: Iterable[int]
+    ) -> list[list[PerfResult] | None]:
+        """Rows of one kernel at each micro-batch size, in ``sizes`` order.
+
+        One lock hold for the whole table; each size still counts its own
+        hit or miss and refreshes its own LRU recency, exactly as one
+        :meth:`get_benchmark` call per size would.
+        """
+        head, tail = _bench_key_template(gpu_name, geometry)
+        keys = [f"{head}{size}{tail}" for size in sizes]
+        out: list[list[PerfResult] | None] = []
         with self._lock:
-            key = _bench_key(gpu_name, geometry)
-            entry = self._bench.get(key)
-            if entry is None:
-                self.bench_misses += 1
-            else:
-                self.bench_hits += 1
-                self._recency.move_to_end(("bench", key))
-                entry = list(entry)
-        if entry is None:
-            if telemetry.enabled():
-                telemetry.count("cache.misses", help="benchmark/config cache misses")
-                telemetry.count("cache.bench.misses",
-                                help="benchmark-table cache misses")
-                telemetry.event("cache.miss", key=_bench_key(gpu_name, geometry))
-            return None
+            for key in keys:
+                entry = self._bench.get(key)
+                if entry is None:
+                    self.bench_misses += 1
+                    out.append(None)
+                else:
+                    self.bench_hits += 1
+                    self._recency.move_to_end(("bench", key))
+                    out.append(list(entry))
         if telemetry.enabled():
-            telemetry.count("cache.hits", help="benchmark/config cache hits")
-            telemetry.count("cache.bench.hits", help="benchmark-table cache hits")
-            telemetry.event("cache.hit", key=_bench_key(gpu_name, geometry))
-        return entry
+            for key, entry in zip(keys, out):
+                if entry is None:
+                    telemetry.count("cache.misses",
+                                    help="benchmark/config cache misses")
+                    telemetry.count("cache.bench.misses",
+                                    help="benchmark-table cache misses")
+                    telemetry.event("cache.miss", key=key)
+                else:
+                    telemetry.count("cache.hits",
+                                    help="benchmark/config cache hits")
+                    telemetry.count("cache.bench.hits",
+                                    help="benchmark-table cache hits")
+                    telemetry.event("cache.hit", key=key)
+        return out
 
     def has_benchmark(self, gpu_name: str, geometry: ConvGeometry) -> bool:
         """Whether benchmark rows exist, without counting a hit or miss.
@@ -213,33 +242,54 @@ class BenchmarkCache:
     def put_benchmark(
         self, gpu_name: str, geometry: ConvGeometry, results: list[PerfResult]
     ) -> None:
-        """Insert or refresh benchmark rows for one kernel geometry.
+        """Insert or refresh benchmark rows for one kernel geometry."""
+        self.put_benchmarks(gpu_name, geometry, {geometry.n: results})
 
-        Overwriting an existing key with *different* rows notifies every
-        registered invalidation listener (outside the lock) so dependent
-        caches -- plan stores, delta solvers -- can drop stale derivations.
-        First-time inserts and byte-identical rewrites stay silent, which
-        keeps the solver's miss-then-put path listener-free.  Callers that
-        can change rows must not hold locks a listener may take.
+    def put_benchmarks(
+        self,
+        gpu_name: str,
+        geometry: ConvGeometry,
+        rows: Mapping[int, list[PerfResult]],
+    ) -> None:
+        """Insert or refresh one kernel's rows at several micro-batch sizes.
+
+        Sizes are inserted in ``rows`` order under one lock hold, each with
+        its own recency bump and LRU eviction pass, exactly as one
+        :meth:`put_benchmark` call per size would.  Overwriting an existing
+        size with *different* rows notifies every registered invalidation
+        listener (outside the lock) once per such size, with that size's
+        geometry, so dependent caches -- plan stores, delta solvers -- can
+        drop stale derivations.  First-time inserts and byte-identical
+        rewrites stay silent, which keeps the solver's miss-then-put path
+        listener-free.  Callers that can change rows must not hold locks a
+        listener may take.
         """
+        head, tail = _bench_key_template(gpu_name, geometry)
+        changed: list[int] = []
+        evicted = 0
         with self._lock:
-            key = _bench_key(gpu_name, geometry)
-            old = self._bench.get(key)
-            changed = old is not None and old != list(results)
-            self._bench[key] = list(results)
-            self._recency[("bench", key)] = None
-            self._recency.move_to_end(("bench", key))
-            self._dirty = True
-            evicted = self._evict_over_capacity()
+            for size, results in rows.items():
+                key = f"{head}{size}{tail}"
+                new = list(results)
+                old = self._bench.get(key)
+                if old is not None and old != new:
+                    changed.append(size)
+                self._bench[key] = new
+                self._recency[("bench", key)] = None
+                self._recency.move_to_end(("bench", key))
+                self._dirty = True
+                evicted += self._evict_over_capacity()
             listeners = list(self._listeners) if changed else []
         if evicted and telemetry.enabled():
             telemetry.count("cache.evictions", evicted,
                             help="entries dropped by the LRU capacity bound")
         if listeners and telemetry.enabled():
-            telemetry.count("cache.bench.refreshes",
+            telemetry.count("cache.bench.refreshes", len(changed),
                             help="benchmark rows overwritten with new values")
-        for listener in listeners:
-            listener(gpu_name, geometry)
+        for size in changed:
+            sized = geometry.with_batch(size)
+            for listener in listeners:
+                listener(gpu_name, sized)
 
     def add_invalidation_listener(
         self, listener: Callable[[str, ConvGeometry], None]

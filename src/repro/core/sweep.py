@@ -93,10 +93,7 @@ def wr_breakpoints(benchmark: KernelBenchmark) -> list[int]:
     consecutive values every per-size admissible set -- hence every
     ``T1(m)`` and the whole DP -- is constant.
     """
-    points: set[int] = set()
-    for size in benchmark.sizes:
-        points.update(benchmark.workspace_steps(size))
-    return sorted(points)
+    return list(benchmark.workspace_step_union())
 
 
 @dataclass

@@ -85,15 +85,16 @@ def _wr_tensors(
     carry size ``0`` and time ``inf``.
     """
     width = max(len(t1) for t1 in t1s)
-    sizes = np.zeros((len(t1s), width), dtype=np.int64)
-    times = np.full((len(t1s), width), np.inf, dtype=np.float64)
+    size_rows: list[list[int]] = []
+    time_rows: list[list[float]] = []
     micros: list[list[MicroConfig]] = []
-    for row, t1 in enumerate(t1s):
-        items = list(t1.items())
-        micros.append([micro for _, micro in items])
-        for col, (size, micro) in enumerate(items):
-            sizes[row, col] = size
-            times[row, col] = micro.time
+    for t1 in t1s:
+        fill = width - len(t1)
+        micros.append(list(t1.values()))
+        size_rows.append([*t1, *[0] * fill])
+        time_rows.append([micro.time for micro in t1.values()] + [np.inf] * fill)
+    sizes = np.array(size_rows, dtype=np.int64)
+    times = np.array(time_rows, dtype=np.float64)
     return sizes, times, micros
 
 
@@ -108,29 +109,31 @@ def _tensor_wr_dp(
     cell-for-cell equal to :func:`repro.core.wr._wr_dp` run per kernel.
     """
     kernels = sizes.shape[0]
-    times = np.full((kernels, max_batch + 1), np.inf, dtype=np.float64)
-    times[:, 0] = 0.0
-    choice = np.full((kernels, max_batch + 1), -1, dtype=np.int64)
-    rows = np.arange(kernels)
-    rows_col = rows[:, None]
-    # Padding columns carry time inf (see _wr_tensors), so their candidates
-    # come out inf through the add alone -- padding needs no mask here.  A
-    # padding cell's back-reference is column ``i`` itself (size 0), which
-    # is still inf when stage ``i`` reads it: stages write their column
-    # only after the gather.
+    # Stage-major: ``table[pad + i]`` holds T(i) of every kernel.  The
+    # ``pad`` inf rows on top are what a size above ``i`` reads, so its
+    # candidate comes out inf through the add alone, as do padding columns
+    # (time inf).  A padding cell's back-reference is row ``i`` itself
+    # (size 0), which is still inf when stage ``i`` reads it: stages write
+    # their row only after the gather.
+    pad = int(sizes.max())
+    table = np.full((pad + max_batch + 1, kernels), np.inf, dtype=np.float64)
+    table[pad] = 0.0
+    choice = np.full((max_batch + 1, kernels), -1, dtype=np.int64)
+    flat = table.reshape(-1)
+    back = (pad - sizes) * kernels + np.arange(kernels)[:, None]
+    index = np.empty_like(back)
+    cand = np.empty_like(t1_times)
     for i in range(1, max_batch + 1):
-        back = i - sizes
-        feasible = back >= 0
-        np.maximum(back, 0, out=back)
-        cand = times[rows_col, back]
+        np.add(back, i * kernels, out=index)
+        flat.take(index, out=cand)
         # One binary add per candidate, exactly the serial
         # ``times[i - size] + micro.time`` (same operands, same order).
-        cand += t1_times
-        cand[~feasible] = np.inf
-        best = np.argmin(cand, axis=1)  # first minimum = serial strict "<"
-        best_time = cand[rows, best]
-        times[:, i] = best_time
-        choice[:, i] = np.where(np.isfinite(best_time), best, -1)
+        np.add(cand, t1_times, out=cand)
+        cand.argmin(axis=1, out=choice[i])  # first minimum = strict "<"
+        cand.min(axis=1, out=table[pad + i])
+    times = table[pad:].T
+    choice = choice.T
+    choice[~np.isfinite(times)] = -1
     return times, choice
 
 

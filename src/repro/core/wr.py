@@ -68,11 +68,13 @@ def t1_table(
     Memoized per ``(benchmark identity, limit bucket)`` through the
     benchmark's query cache: two limits between consecutive union workspace
     steps admit the same rows at every size and share one table, so repeated
-    per-limit and trace calls stop rebuilding the same dict.  The returned
-    dict is shared -- treat it as immutable.  Infeasible buckets cache (and
-    re-raise) the same :class:`OptimizationError`, which therefore quotes
-    the bucket's first-seen limit (the sweep solvers already document this
-    for interval representatives).  Mutating ``benchmark.results`` requires
+    per-limit and trace calls stop rebuilding the same dict.  A miss scans
+    each size's rows directly, in the ascending order :func:`_wr_dp` needs.
+    The returned dict is shared -- treat it as immutable.  Infeasible
+    buckets cache (and re-raise) the same :class:`OptimizationError`, which
+    therefore quotes the bucket's first-seen limit (the sweep solvers
+    already document this for interval representatives).  Mutating
+    ``benchmark.results`` requires
     :meth:`~repro.core.benchmarker.KernelBenchmark.invalidate_query_cache`,
     which drops this memo too.
     """
@@ -88,7 +90,7 @@ def t1_table(
         return cached
     t1: dict[int, MicroConfig] = {}
     for size in benchmark.sizes:
-        micro = benchmark.fastest_micro(size, workspace_limit)
+        micro = benchmark._compute_fastest_micro(size, workspace_limit)
         if micro is not None:
             t1[size] = micro
     if not t1:
@@ -102,24 +104,29 @@ def t1_table(
     return t1
 
 
-def _wr_dp(t1: dict[int, MicroConfig], batch: int):
+def _wr_dp(
+    t1: dict[int, MicroConfig], batch: int
+) -> tuple[list[float], list[MicroConfig | None]]:
     """The coin-change DP core shared by the optimizer and the tracer.
 
+    ``t1`` must list sizes ascending, as :func:`t1_table` builds it.
     Returns the ``times`` table (``times[i]`` = optimal time for batch ``i``,
     ``inf`` when not composable) and the ``choice`` table (last summand of an
     optimal division, ``None`` when not composable).
     """
     times = [0.0] + [math.inf] * batch
     choice: list[MicroConfig | None] = [None] * (batch + 1)
+    coins = [(size, micro.time, micro) for size, micro in t1.items()]
     # Coin-change order: ascending i with all sizes admissible at each i
-    # allows unlimited reuse of any measured size.
+    # allows unlimited reuse of any measured size.  A non-composable
+    # remainder is inf, so its candidate is inf and never wins the strict <.
     for i in range(1, batch + 1):
         best = math.inf
         best_micro = None
-        for size, micro in t1.items():
-            if size > i or not math.isfinite(times[i - size]):
-                continue
-            cand = times[i - size] + micro.time
+        for size, time, micro in coins:
+            if size > i:
+                break
+            cand = times[i - size] + time
             if cand < best:
                 best = cand
                 best_micro = micro

@@ -191,6 +191,7 @@ def _run_server(args: argparse.Namespace) -> int:
     SIGINT/SIGTERM stop the server cleanly: the store is flushed to its
     snapshot file (when ``--store`` is set) and the exit status is 0, so
     process supervisors and the CI job can ``kill`` it without losing state.
+    Further stop signals during shutdown are ignored.
 
     ``--shards N`` (optionally with ``--devices``) serves a sharded
     :class:`~repro.cluster.ClusterService` behind the same wire endpoint:
@@ -228,8 +229,18 @@ def _run_server(args: argparse.Namespace) -> int:
     if args.trace:
         telemetry.enable(clock=clock)
     stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda _sig, _frame: stop.set())
+    stop_signals = (signal.SIGINT, signal.SIGTERM)
+
+    def _on_stop(_sig: int, _frame: object) -> None:
+        # Ignore repeats: shutdown is already under way, and a repeat that
+        # lands after interpreter teardown restores the default handlers
+        # would kill the process with the store saved but a non-zero status.
+        for signum in stop_signals:
+            signal.signal(signum, signal.SIG_IGN)
+        stop.set()
+
+    for signum in stop_signals:
+        signal.signal(signum, _on_stop)
     request_log = RequestLog() if admin_addr is not None else None
     devices = _device_list(args)
     clustered = args.shards > 1 or len(devices) > 1

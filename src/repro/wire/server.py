@@ -141,6 +141,12 @@ class PlanServer:
             handlers = list(self._handlers)
             accept_thread = self._accept_thread
         if listener is not None:
+            # close() alone leaves the accept thread blocked in accept();
+            # shutdown() is what wakes it.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # some platforms refuse shutdown on a listener
             listener.close()
         for conn in connections:
             _quiet_close(conn)

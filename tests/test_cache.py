@@ -1,12 +1,15 @@
 """Tests for the benchmark / configuration cache (paper section III-D)."""
 
 import json
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.cache import BenchmarkCache
+from repro.core.cache import BenchmarkCache, _bench_key, _bench_key_template
 from repro.core.config import Configuration, MicroConfig
-from repro.cudnn.enums import ConvType, FwdAlgo
+from repro.cudnn.descriptors import ConvGeometry
+from repro.cudnn.enums import ConvolutionMode, ConvType, FwdAlgo
 from repro.cudnn.perfmodel import PerfResult
 from repro.cudnn.status import Status
 from repro.errors import CacheError
@@ -325,3 +328,176 @@ class TestCapacity:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             BenchmarkCache(capacity=0)
+
+
+class TestKeyTemplate:
+    """The batched calls' key template equals the per-geometry key."""
+
+    GEOMETRIES = [
+        *(make_geometry(conv_type=t, c=16) for t in ConvType),
+        ConvGeometry(ConvType.FORWARD, 8, 16, 14, 14, 32, 3, 3, 1, 1,
+                     groups=4),
+        ConvGeometry(ConvType.BACKWARD_FILTER, 8, 16, 14, 14, 16, 3, 3,
+                     1, 1, groups=16),
+        ConvGeometry(ConvType.BACKWARD_DATA, 8, 12, 9, 9, 24, 3, 3,
+                     mode=ConvolutionMode.CONVOLUTION),
+        ConvGeometry(ConvType.FORWARD, 16, 16, 16, 16, 16, 1, 1, groups=2,
+                     mode=ConvolutionMode.CONVOLUTION),
+    ]
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=lambda g: g.cache_key())
+    @pytest.mark.parametrize("n", [1, 6, 8, 16, 61, 128, 256])
+    def test_template_matches_per_geometry_key(self, geometry, n):
+        head, tail = _bench_key_template("p100-sxm2", geometry)
+        expected = _bench_key("p100-sxm2", geometry.with_batch(n))
+        assert f"{head}{n}{tail}" == expected
+
+    def test_suffixes_survive_the_template(self):
+        grouped, conv = self.GEOMETRIES[-3], self.GEOMETRIES[-2]
+        assert _bench_key_template("k80", grouped)[1].endswith("g16")
+        assert _bench_key_template("k80", conv)[1].endswith(":conv")
+
+
+class _PopLog(OrderedDict):
+    """Recency map that logs LRU evictions in the order they happen."""
+
+    def __init__(self):
+        super().__init__()
+        self.popped = []
+
+    def popitem(self, last=True):
+        item = super().popitem(last=last)
+        self.popped.append(item[0][1])
+        return item
+
+
+class _RowModel:
+    """Plain per-row reference: one dict, one LRU list, no batching."""
+
+    def __init__(self, gpu, capacity):
+        self.gpu = gpu
+        self.capacity = capacity
+        self.rows = {}
+        self.recency = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evicted = []
+        self.notified = []
+
+    def get(self, geometry):
+        key = _bench_key(self.gpu, geometry)
+        if key not in self.rows:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.recency.move_to_end(key)
+        return list(self.rows[key])
+
+    def put(self, geometry, rows):
+        key = _bench_key(self.gpu, geometry)
+        old = self.rows.get(key)
+        self.rows[key] = list(rows)
+        self.recency[key] = None
+        self.recency.move_to_end(key)
+        while self.capacity is not None and len(self.rows) > self.capacity:
+            evicted, _ = self.recency.popitem(last=False)
+            del self.rows[evicted]
+            self.evicted.append(evicted)
+        if old is not None and old != list(rows):
+            self.notified.append(geometry)
+
+    def payload(self):
+        return {
+            "benchmarks": {
+                key: [
+                    {"conv_type": key.split("|")[1].split(":")[0],
+                     "algo": int(r.algo), "time": r.time,
+                     "workspace": r.workspace}
+                    for r in rows
+                ]
+                for key, rows in self.rows.items()
+            },
+            "configurations": {},
+        }
+
+
+_KERNELS = [make_geometry(n=8, c=16), make_geometry(n=8, c=3, k=7)]
+_ROW_VARIANTS = [
+    sample_results(),
+    sample_results()[::-1],
+    [PerfResult(FwdAlgo.GEMM, Status.SUCCESS, 0.003, 64)],
+]
+_SIZES = st.integers(1, 8)
+_KERNEL = st.integers(0, len(_KERNELS) - 1)
+_ROWS = st.sampled_from(range(len(_ROW_VARIANTS)))
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("get"), _KERNEL, st.lists(_SIZES, max_size=8)),
+        st.tuples(st.just("get1"), _KERNEL, _SIZES),
+        st.tuples(st.just("put"), _KERNEL,
+                  st.dictionaries(_SIZES, _ROWS, max_size=8)),
+        st.tuples(st.just("put1"), _KERNEL, _SIZES, _ROWS),
+    ),
+    max_size=40,
+)
+
+
+class TestBatchedCallsAgainstRowModel:
+    """Batched and per-row calls interleave exactly like per-row calls."""
+
+    @pytest.mark.parametrize("capacity", [None, 1, 3, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_OPS)
+    def test_random_interleavings(self, capacity, ops):
+        gpu = "p100-sxm2"
+        cache = BenchmarkCache(capacity=capacity)
+        cache._recency = _PopLog()
+        model = _RowModel(gpu, capacity)
+        notified = []
+
+        def listener(gpu_name, geometry):
+            assert not cache._lock._is_owned(), "listener ran under the lock"
+            assert gpu_name == gpu
+            notified.append(geometry)
+
+        cache.add_invalidation_listener(listener)
+        for op in ops:
+            kind, kernel = op[0], _KERNELS[op[1]]
+            if kind == "get":
+                got = cache.get_benchmarks(gpu, kernel, op[2])
+                assert got == [model.get(kernel.with_batch(n)) for n in op[2]]
+            elif kind == "get1":
+                sized = kernel.with_batch(op[2])
+                assert cache.get_benchmark(gpu, sized) == model.get(sized)
+            elif kind == "put":
+                rows = {n: _ROW_VARIANTS[v] for n, v in op[2].items()}
+                cache.put_benchmarks(gpu, kernel, rows)
+                for n, results in rows.items():
+                    model.put(kernel.with_batch(n), results)
+            else:
+                sized = kernel.with_batch(op[2])
+                cache.put_benchmark(gpu, sized, _ROW_VARIANTS[op[3]])
+                model.put(sized, _ROW_VARIANTS[op[3]])
+            assert (cache.bench_hits, cache.bench_misses) == (
+                model.hits, model.misses)
+            assert cache._recency.popped == model.evicted
+            assert cache.evictions == len(model.evicted)
+            assert [key for _, key in cache._recency] == list(model.recency)
+            assert notified == model.notified
+        assert json.dumps(cache.export_payload()).encode() == json.dumps(
+            model.payload()).encode()
+        assert cache.dirty == bool(model.rows or model.evicted)
+
+    def test_one_listener_call_per_changed_size(self):
+        cache = BenchmarkCache()
+        kernel = _KERNELS[0]
+        cache.put_benchmarks("k80", kernel, {1: sample_results(),
+                                             2: sample_results()})
+        seen = []
+        cache.add_invalidation_listener(lambda gpu, g: seen.append(g.n))
+        cache.put_benchmarks("k80", kernel, {
+            1: sample_results(),          # byte-identical: silent
+            2: _ROW_VARIANTS[2],          # changed
+            4: _ROW_VARIANTS[2],          # first insert: silent
+        })
+        assert seen == [2]

@@ -1,6 +1,12 @@
 """Tests for the command-line experiment runner."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +157,31 @@ class TestServe:
         assert "Plan-service soak" in out
         assert "solver invocations" in out
         assert "[serve" in out
+
+    def test_listen_exits_zero_when_stop_signals_repeat(self, tmp_path):
+        # A supervisor may repeat SIGTERM; one that lands while the server
+        # is already shutting down must not turn a clean stop into a kill.
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness.runner", "serve",
+             "--listen", "127.0.0.1:0", "--store", str(tmp_path / "p.json")],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        try:
+            assert "SIGINT/SIGTERM to stop" in proc.stdout.readline()
+            proc.send_signal(signal.SIGTERM)
+            assert "[plan store saved" in proc.stdout.readline()
+            deadline = time.monotonic() + 30.0
+            while proc.poll() is None and time.monotonic() < deadline:
+                proc.send_signal(signal.SIGTERM)
+                time.sleep(0.001)
+            assert proc.wait(timeout=5.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
     def test_soak_writes_byte_deterministic_report(self, capsys, tmp_path):
         a = tmp_path / "a.json"

@@ -12,6 +12,7 @@ in-process answer.
 import json
 import socket
 import struct
+import time
 
 import pytest
 
@@ -299,6 +300,19 @@ class TestServerClient:
         _, _, client = served
         with pytest.raises(PersistenceError, match="no snapshot path"):
             client.save()
+
+    def test_idle_server_closes_promptly(self):
+        # close() must wake the accept thread blocked in accept(), not wait
+        # out the join timeout.
+        with PlanService(GPU, clock=ManualClock(),
+                         solve_fn=spy_solve) as service:
+            server = PlanServer(service).start()
+            accept_thread = server._accept_thread
+            started = time.monotonic()
+            server.close()
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.0
+        assert accept_thread is not None and not accept_thread.is_alive()
 
     def test_deadline_propagates_to_the_server_solver(self):
         seen = []

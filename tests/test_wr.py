@@ -11,10 +11,19 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import MicroConfig
 from repro.core.policies import BatchSizePolicy
-from repro.core.wr import optimize_from_benchmark, optimize_kernel
+from repro.core.wr import (
+    WRTraceRow,
+    _rebuild,
+    _wr_dp,
+    optimize_from_benchmark,
+    optimize_kernel,
+    t1_table,
+    trace_wr,
+)
 from repro.cudnn.descriptors import ConvGeometry
-from repro.cudnn.enums import ConvType
+from repro.cudnn.enums import ConvType, FwdAlgo
 from repro.errors import OptimizationError
 from repro.units import MIB
 from tests.conftest import make_geometry
@@ -104,6 +113,100 @@ class TestDPOptimality:
         bench = synth_benchmark(5, {2: [(1.0, 0)]})  # 5 not a sum of 2s
         with pytest.raises(OptimizationError):
             optimize_from_benchmark(bench, 0)
+
+
+def reference_t1(bench, limit) -> dict[int, MicroConfig]:
+    """``T1`` by the definition: first strictly fastest row within the limit."""
+    t1 = {}
+    for size in sorted(bench.results):
+        fits = [r for r in bench.results[size] if r.workspace <= limit]
+        if fits:
+            best = fits[0]
+            for r in fits[1:]:
+                if r.time < best.time:
+                    best = r
+            t1[size] = MicroConfig(size, best.algo, best.time, best.workspace)
+    return t1
+
+
+def reference_wr_dp(t1: dict[int, MicroConfig], batch: int):
+    """The straightforward coin-change loop the fast ``_wr_dp`` replaced."""
+    times = [0.0] + [math.inf] * batch
+    choice = [None] * (batch + 1)
+    for i in range(1, batch + 1):
+        best = math.inf
+        best_micro = None
+        for size, micro in t1.items():
+            if size > i or not math.isfinite(times[i - size]):
+                continue
+            cand = times[i - size] + micro.time
+            if cand < best:
+                best = cand
+                best_micro = micro
+        times[i] = best
+        choice[i] = best_micro
+    return times, choice
+
+
+#: Few distinct times, so equal-cost divisions (tie-breaks) are common.
+_TIMES = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]),
+                   st.floats(0.01, 10.0))
+
+
+@st.composite
+def wr_tables(draw):
+    """A benchmark table, a limit and a batch for the DP to solve."""
+    shape = draw(st.sampled_from(["any", "single", "no_one", "batch_is_max"]))
+    sizes = draw(st.lists(st.integers(1, 24), min_size=1, max_size=7,
+                          unique=True))
+    if shape == "single":
+        sizes = sizes[:1]
+    elif shape == "no_one":
+        sizes = [s for s in sizes if s != 1] or [2]
+    batch = (max(sizes) if shape == "batch_is_max"
+             else draw(st.integers(max(sizes), 40)))
+    table = {
+        size: draw(st.lists(st.tuples(_TIMES, st.integers(0, 100)),
+                            min_size=1, max_size=4))
+        for size in sizes
+    }
+    return batch, table, draw(st.integers(0, 100))
+
+
+class TestFastDPAgainstReference:
+    """``t1_table``/``_wr_dp`` equal the plain definitions bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=wr_tables())
+    def test_tables_equal_element_by_element(self, case):
+        batch, table, limit = case
+        bench = synth_benchmark(batch, table)
+        expected_t1 = reference_t1(bench, limit)
+        if not expected_t1:
+            with pytest.raises(OptimizationError):
+                t1_table(bench, limit)
+            return
+        t1 = t1_table(bench, limit)
+        assert list(t1.items()) == list(expected_t1.items())
+        times, choice = _wr_dp(t1, batch)
+        ref_times, ref_choice = reference_wr_dp(t1, batch)
+        assert len(times) == len(ref_times) == batch + 1
+        for got, want in zip(times, ref_times):
+            assert got == want
+        for got, want in zip(choice, ref_choice):
+            assert got == want
+        assert trace_wr(bench, limit) == [
+            WRTraceRow(i, ref_times[i], ref_choice[i], _rebuild(ref_choice, i))
+            for i in range(1, batch + 1)
+            if math.isfinite(ref_times[i])
+        ]
+
+    def test_equal_times_keep_the_first_smallest_size(self):
+        t1 = {size: MicroConfig(size, FwdAlgo.GEMM, float(size), 0)
+              for size in (1, 2, 4)}
+        times, choice = _wr_dp(t1, 4)
+        assert times == reference_wr_dp(t1, 4)[0] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert [c.micro_batch for c in choice[1:]] == [1, 1, 1, 1]
 
 
 class TestOnPerfModel:
