@@ -104,7 +104,10 @@ def find_algorithms_batched(
     sizes]`` but answered in a single vectorized pass of the performance
     model when the model is jitter-free.  One sample index is drawn per size
     (in order) regardless of the path taken, so the handle's sample counter
-    advances exactly as the per-size loop would have advanced it.
+    advances exactly as the per-size loop would have advanced it.  Every
+    size must be a positive integer, as on the per-size path: a
+    non-positive, non-integral or ``bool`` size raises
+    :class:`BadParamError`.
     """
     if getattr(handle, "UCUDNN_INTERPOSE", False):
         return [find_algorithms(handle, g.with_batch(n)) for n in sizes]

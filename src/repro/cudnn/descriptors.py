@@ -11,6 +11,7 @@ All tensors are NCHW FP32, matching the paper's evaluation setup.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from repro.cudnn.enums import ConvType, ConvolutionMode
@@ -18,15 +19,32 @@ from repro.errors import BadParamError
 from repro.cudnn.status import Status
 
 
+def _integer(name: str, value: int) -> int:
+    """``value`` as an ``int``; bools and non-integral values are rejected.
+
+    ``operator.index`` admits ``int`` and numpy integers but not ``2.5``,
+    ``3.0`` or ``"3"``: a field that merely converts to an integer would be
+    kept raw and give a second cache key for the same shape.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadParamError(Status.BAD_PARAM, f"{name} must be an integer, got {value!r}")
+
+
 def _positive(name: str, value: int) -> int:
-    value = int(value)
+    if type(value) is not int:  # plain ints need no conversion
+        value = _integer(name, value)
     if value <= 0:
         raise BadParamError(Status.BAD_PARAM, f"{name} must be positive, got {value}")
     return value
 
 
 def _non_negative(name: str, value: int) -> int:
-    value = int(value)
+    if type(value) is not int:
+        value = _integer(name, value)
     if value < 0:
         raise BadParamError(Status.BAD_PARAM, f"{name} must be >= 0, got {value}")
     return value
@@ -252,7 +270,27 @@ class ConvGeometry:
 
     @property
     def y_desc(self) -> TensorDescriptor:
-        return output_dims(self.x_desc, self.w_desc, self.conv_desc)
+        """Output descriptor, derived once per instance on first use.
+
+        The value is stored beside the fields with ``object.__setattr__``;
+        two threads racing on a fresh geometry both compute the same frozen
+        descriptor, so no lock is needed.  A failure is not stored: a
+        geometry whose output would be empty constructs, and raises
+        :class:`BadParamError` on every access.  The memo is not a field,
+        so equality, hashing, ``repr``, :meth:`cache_key` and
+        ``dataclasses.replace`` ignore it, and pickles and copies drop it
+        (:meth:`__getstate__`).
+        """
+        y = self.__dict__.get("_y_desc")
+        if y is None:
+            y = output_dims(self.x_desc, self.w_desc, self.conv_desc)
+            object.__setattr__(self, "_y_desc", y)
+        return y
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_y_desc", None)
+        return state
 
     @property
     def out_h(self) -> int:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import repro.telemetry as telemetry
-from repro.cudnn.descriptors import ConvGeometry
+from repro.cudnn.descriptors import ConvGeometry, TensorDescriptor, _positive
 from repro.cudnn.device import GpuSpec
 from repro.cudnn.enums import Algo, AlgoFamily, ConvType, algos_for, family_of
 from repro.cudnn.status import Status
@@ -147,10 +147,7 @@ class PerfModel:
             raise NotSupportedError(
                 Status.NOT_SUPPORTED, f"{algo!r} does not support {g}"
             )
-        base = self._time_supported(g, algo)
-        if self.jitter == 0.0:
-            return base
-        return base * (1.0 + self.jitter * self._noise(g, algo, sample))
+        return self._sampled_time(g, algo, sample)
 
     def query(self, g: ConvGeometry, algo: Algo, sample: int = 0) -> PerfResult:
         """Non-raising variant: unsupported pairs get NOT_SUPPORTED status."""
@@ -159,7 +156,7 @@ class PerfModel:
         return PerfResult(
             algo,
             Status.SUCCESS,
-            self.time(g, algo, sample=sample),
+            self._sampled_time(g, algo, sample),
             workspace_size(g, algo),
         )
 
@@ -185,8 +182,16 @@ class PerfModel:
         element (N-independent subexpressions hoisted to scalars, the rest
         vectorized in the scalar path's association order).
 
-        Only valid for the jitter-free model -- noisy samples are keyed per
-        query and must go through :meth:`find_all`.
+        The per-group sub-geometry and its output shape are derived once per
+        call, and the rows are built in one pass: one ``np.lexsort`` over
+        (time, algorithm) orders every size's table, and each unsupported
+        algorithm contributes one NOT_SUPPORTED row shared by all sizes.
+
+        Every size must be a positive integer (``bool`` and non-integral
+        values included), as :meth:`ConvGeometry.with_batch` requires on
+        the per-size path; otherwise :class:`BadParamError` is raised before
+        any row is computed.  Only valid for the jitter-free model -- noisy
+        samples are keyed per query and must go through :meth:`find_all`.
         """
         if self.jitter != 0.0:
             raise NotSupportedError(
@@ -196,30 +201,42 @@ class PerfModel:
         with telemetry.span(
             "perfmodel.batched_find", kernel=g.cache_key(), sizes=len(sizes)
         ) as tspan:
-            ns = np.asarray([int(n) for n in sizes], dtype=np.int64)
-            per_size: list[list[PerfResult]] = [[] for _ in sizes]
+            ns = np.array([_positive("batch size", n) for n in sizes],
+                          dtype=np.int64)
+            # Support, workspace and time all compose G groups from one
+            # group's sub-geometry, and none depends on N.
+            sub = g.group_geometry()
+            y = sub.y_desc
+            algos = algos_for(g.conv_type)
+            times = np.empty((len(algos), len(ns)))
+            columns: list[list[PerfResult]] = []
             supported = 0
-            for algo in algos_for(g.conv_type):
-                if not is_supported(g, algo):  # support never depends on N
+            for j, algo in enumerate(algos):
+                if not is_supported(sub, algo):
+                    times[j] = math.inf
                     row = PerfResult(algo, Status.NOT_SUPPORTED, math.inf, 0)
-                    for rows in per_size:
-                        rows.append(row)
+                    columns.append([row] * len(ns))
                     continue
                 supported += 1
-                times = self._time_supported_batch(g, algo, ns)
-                wss = workspace_size_batch(g, ns, algo)
-                for i, rows in enumerate(per_size):
-                    rows.append(
-                        PerfResult(algo, Status.SUCCESS, float(times[i]), int(wss[i]))
-                    )
+                wss = workspace_size_batch(sub, ns, algo)
+                col = self._time_supported_batch(sub, y, algo, ns, wss)
+                if g.groups > 1:
+                    # cuDNN's group loop, as in the scalar _time_supported.
+                    col = g.groups * col
+                times[j] = col
+                columns.append([
+                    PerfResult(algo, Status.SUCCESS, t, w)
+                    for t, w in zip(col.tolist(), wss.tolist())
+                ])
+            algo_ids = np.broadcast_to(
+                np.array([int(a) for a in algos])[:, None], times.shape)
+            order = np.lexsort((algo_ids, times), axis=0).T.tolist()
             tspan.set("supported_algos", supported)
             telemetry.count("perfmodel.batched_finds",
                             help="vectorized multi-size Find invocations")
             telemetry.count("perfmodel.batched_sizes", len(sizes),
                             help="micro-batch sizes served by batched Finds")
-        return [
-            sorted(rows, key=lambda r: (r.time, int(r.algo))) for rows in per_size
-        ]
+        return [[columns[j][i] for j in idx] for i, idx in enumerate(order)]
 
     def fastest(
         self, g: ConvGeometry, workspace_limit: int | None = None, sample: int = 0
@@ -237,6 +254,13 @@ class PerfModel:
         return None
 
     # -- model internals ------------------------------------------------------
+
+    def _sampled_time(self, g: ConvGeometry, algo: Algo, sample: int) -> float:
+        """Time of a supported pair, with the model's jitter if any."""
+        base = self._time_supported(g, algo)
+        if self.jitter == 0.0:
+            return base
+        return base * (1.0 + self.jitter * self._noise(g, algo, sample))
 
     def _noise(self, g: ConvGeometry, algo: Algo, sample: int) -> float:
         """Deterministic uniform noise in [-1, 1] keyed by the query."""
@@ -259,9 +283,11 @@ class PerfModel:
 
     def _io_bytes(self, g: ConvGeometry, family: AlgoFamily) -> float:
         y = g.y_desc
-        io = FLOAT_SIZE * (g.x_desc.count + y.count + g.w_desc.count)
+        # x_desc.count and w_desc.count, without building the descriptors.
+        w_count = g.k * (g.c // g.groups) * g.r * g.s
+        io = FLOAT_SIZE * (g.n * g.c * g.h * g.w + y.count + w_count)
         if g.conv_type == ConvType.BACKWARD_FILTER:
-            io += FLOAT_SIZE * g.w_desc.count  # read-modify-write of dw
+            io += FLOAT_SIZE * w_count  # read-modify-write of dw
         if family in (
             AlgoFamily.GEMM,
             AlgoFamily.FFT,
@@ -328,28 +354,31 @@ class PerfModel:
     # -- vectorized internals (bit-identical to the scalar path over N) -------
     #
     # Every helper below evaluates, for an int64 array ``ns`` of batch sizes,
-    # exactly ``[scalar(g.with_batch(n)) for n in ns]``.  Integer terms are
+    # exactly ``[scalar(g.with_batch(n)) for n in ns]`` for a one-group
+    # geometry ``g`` whose output descriptor is ``y``.  Integer terms are
     # exact in any association order; float terms keep the scalar path's
     # left-to-right order with N-independent prefixes hoisted (hoisting a
     # prefix does not change the expression tree, only when it is computed).
 
-    def _occupancy_batch(self, g: ConvGeometry, ns: np.ndarray) -> np.ndarray:
-        y = g.y_desc
+    def _occupancy_batch(
+        self, g: ConvGeometry, y: TensorDescriptor, ns: np.ndarray
+    ) -> np.ndarray:
         par = ns * (y.h * y.w * -(-g.k // 32))
         kappa = self.spec.sm_count * 384.0
         return par / (par + kappa)
 
-    def _wave_quantization_batch(self, g: ConvGeometry, ns: np.ndarray) -> np.ndarray:
-        y = g.y_desc
+    def _wave_quantization_batch(
+        self, g: ConvGeometry, y: TensorDescriptor, ns: np.ndarray
+    ) -> np.ndarray:
         blocks = np.maximum(1, -(-(ns * (y.h * y.w)) // 256)) * max(1, -(-g.k // 64))
         waves = blocks / self.spec.sm_count
         return 1.0 + 0.15 * (np.ceil(waves) / waves - 1.0)
 
     def _io_bytes_batch(
-        self, g: ConvGeometry, family: AlgoFamily, ns: np.ndarray
+        self, g: ConvGeometry, y: TensorDescriptor, family: AlgoFamily,
+        ns: np.ndarray, wss: np.ndarray,
     ) -> np.ndarray:
-        y = g.y_desc
-        w_count = g.w_desc.count
+        w_count = g.k * g.c * g.r * g.s
         counts = ns * (g.c * g.h * g.w) + ns * (y.c * y.h * y.w) + w_count
         io = FLOAT_SIZE * counts
         if g.conv_type == ConvType.BACKWARD_FILTER:
@@ -360,19 +389,17 @@ class PerfModel:
             AlgoFamily.FFT_TILING,
             AlgoFamily.WINOGRAD_NONFUSED,
         ):
-            io = io + 2.0 * workspace_size_batch(
-                g, ns, family_to_algo(g.conv_type, family)
-            )
+            # Each family has exactly one algorithm per operation type, so
+            # the family's workspace is this algorithm's ``wss``.
+            io = io + 2.0 * wss
         return io
 
     def _effective_flops_batch(
-        self, g: ConvGeometry, family: AlgoFamily, ns: np.ndarray
+        self, g: ConvGeometry, y: TensorDescriptor, family: AlgoFamily,
+        ns: np.ndarray,
     ) -> np.ndarray:
-        y = g.y_desc
-        # flops = 2 * N * K * H' * W' * (C/G) * R * S -- linear in N.
-        direct = (
-            ns * (2 * g.k * y.h * y.w * (g.c // g.groups) * g.r * g.s)
-        ).astype(np.float64)
+        # flops = 2 * N * K * H' * W' * C * R * S -- linear in N.
+        direct = (ns * (2 * g.k * y.h * y.w * g.c * g.r * g.s)).astype(np.float64)
         if family in (
             AlgoFamily.IMPLICIT_GEMM,
             AlgoFamily.IMPLICIT_PRECOMP_GEMM,
@@ -405,30 +432,37 @@ class PerfModel:
         raise AssertionError(f"unhandled family {family}")
 
     def _time_supported_batch(
-        self, g: ConvGeometry, algo: Algo, ns: np.ndarray
+        self, g: ConvGeometry, y: TensorDescriptor, algo: Algo, ns: np.ndarray,
+        wss: np.ndarray,
     ) -> np.ndarray:
-        if g.groups > 1:
-            # with_batch and group_geometry commute, so the recursion over the
-            # per-group sub-problem vectorizes unchanged.
-            return g.groups * self._time_supported_batch(g.group_geometry(), algo, ns)
+        """Times of a one-group geometry; ``wss`` is ``algo``'s workspace."""
         family = family_of(g.conv_type, algo)
         spec = self.spec
-        eff = _BASE_EFFICIENCY[family] * self._occupancy_batch(g, ns)
+        eff = _BASE_EFFICIENCY[family] * self._occupancy_batch(g, y, ns)
         if family in (AlgoFamily.FFT, AlgoFamily.FFT_TILING):
             eff *= spec.fft_throughput_scale
         elif family in (AlgoFamily.WINOGRAD, AlgoFamily.WINOGRAD_NONFUSED):
             eff *= spec.winograd_throughput_scale
-        flops = self._effective_flops_batch(g, family, ns)
+        flops = self._effective_flops_batch(g, y, family, ns)
         t_compute = flops / (spec.peak_sp_flops * eff)
-        t_compute *= self._wave_quantization_batch(g, ns)
-        t_memory = self._io_bytes_batch(g, family, ns) / spec.mem_bandwidth
+        t_compute *= self._wave_quantization_batch(g, y, ns)
+        t_memory = self._io_bytes_batch(g, y, family, ns, wss) / spec.mem_bandwidth
         overhead = spec.launch_overhead * _KERNELS_PER_CALL[family]
         return _OP_MULT[g.conv_type] * (overhead + np.maximum(t_compute, t_memory))
 
 
+#: ``(conv_type, family) -> algorithm``; iterating in reverse leaves the
+#: first match in enumeration order.
+_FAMILY_ALGO: dict[tuple[ConvType, AlgoFamily], Algo] = {
+    (conv_type, family_of(conv_type, algo)): algo
+    for conv_type in ConvType
+    for algo in reversed(algos_for(conv_type))
+}
+
+
 def family_to_algo(conv_type: ConvType, family: AlgoFamily) -> Algo:
     """Inverse of :func:`repro.cudnn.enums.family_of` (first match)."""
-    for algo in algos_for(conv_type):
-        if family_of(conv_type, algo) == family:
-            return algo
-    raise KeyError(f"{family} has no algorithm for {conv_type}")
+    try:
+        return _FAMILY_ALGO[conv_type, family]
+    except KeyError:
+        raise KeyError(f"{family} has no algorithm for {conv_type}") from None

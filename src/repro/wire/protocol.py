@@ -38,6 +38,7 @@ from repro.core.policies import BatchSizePolicy
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.enums import ConvType, ConvolutionMode
 from repro.errors import (
+    BadParamError,
     CacheError,
     ClusterError,
     DeadlineExceededError,
@@ -237,7 +238,9 @@ def geometry_from_wire(data: object) -> ConvGeometry:
             mode=ConvolutionMode(data["mode"]),
             groups=data["groups"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (BadParamError, KeyError, TypeError, ValueError) as exc:
+        # BadParamError: a field that is not a positive (or, for padding,
+        # non-negative) integer, or channels that do not divide by groups.
         raise WireProtocolError(f"corrupt wire geometry: {exc}") from exc
 
 

@@ -1,5 +1,12 @@
 """Tests for cuDNN descriptor types and geometry derivations."""
 
+import copy
+import dataclasses
+import pickle
+import sys
+import threading
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -142,6 +149,124 @@ class TestConvGeometry:
 
     def test_hashable(self):
         assert len({make_geometry(), make_geometry()}) == 1
+
+
+class TestIntegerFields:
+    """Fields are integers: ``n=2.5`` or ``c=3.0`` would otherwise be kept
+    raw and give second cache keys (``n2.5``, ``c3.0``) for one shape."""
+
+    @pytest.mark.parametrize("field", ["n", "c", "h", "k", "r", "pad_h",
+                                       "stride_w", "dilation_h", "groups"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3", None])
+    def test_geometry_rejects_non_integers(self, field, value):
+        fields = dataclasses.asdict(make_geometry())
+        fields[field] = value
+        with pytest.raises(BadParamError):
+            ConvGeometry(**fields)
+
+    @pytest.mark.parametrize("make", [
+        lambda v: TensorDescriptor(v, 3, 5, 7),
+        lambda v: FilterDescriptor(4, v, 3, 3),
+        lambda v: ConvolutionDescriptor(pad_w=v),
+        lambda v: ConvolutionDescriptor(groups=v),
+    ])
+    @pytest.mark.parametrize("value", [2.5, 1.0, True])
+    def test_descriptors_reject_non_integers(self, make, value):
+        with pytest.raises(BadParamError):
+            make(value)
+
+    def test_numpy_integers_still_pass(self):
+        g = make_geometry(n=np.int64(8), c=np.int32(3))
+        assert g == make_geometry(n=8, c=3)
+        assert g.cache_key() == make_geometry(n=8, c=3).cache_key()
+        assert TensorDescriptor(np.int64(2), 3, 5, 7).count == 210
+
+
+class TestOutputMemo:
+    """``y_desc`` is derived once per instance and never leaks into the
+    geometry's identity, its copies or its pickles."""
+
+    def test_identity_unchanged_by_memo(self):
+        fresh, memoized = make_geometry(stride=2), make_geometry(stride=2)
+        y = memoized.y_desc
+        assert memoized.y_desc is y  # derived once
+        assert memoized == fresh and hash(memoized) == hash(fresh)
+        assert repr(memoized) == repr(fresh)
+        assert memoized.cache_key() == fresh.cache_key()
+        assert pickle.dumps(memoized) == pickle.dumps(fresh)
+
+    def test_copies_never_carry_a_stale_shape(self):
+        g = make_geometry(n=8, h=9, w=9, pad=0)
+        y = g.y_desc
+        for other in (pickle.loads(pickle.dumps(g)), copy.copy(g),
+                      copy.deepcopy(g)):
+            assert other == g and "_y_desc" not in vars(other)
+            assert other.y_desc == y
+        reshaped = {
+            "replace": dataclasses.replace(g, h=13, pad_h=1),
+            "with_batch": g.with_batch(2),
+            "with_type": g.with_type(ConvType.BACKWARD_FILTER),
+            "group_geometry": dataclasses.replace(g, c=6, k=10,
+                                                  groups=2).group_geometry(),
+        }
+        for how, other in reshaped.items():
+            expected = output_dims(
+                TensorDescriptor(other.n, other.c, other.h, other.w),
+                FilterDescriptor(other.k, other.c // other.groups,
+                                 other.r, other.s),
+                other.conv_desc,
+            )
+            assert other.y_desc == expected, how
+        assert g.with_batch(2).y_desc.n == 2
+        assert dataclasses.replace(g, h=13, pad_h=1).y_desc.h == 13
+
+    def test_failure_is_never_memoized(self):
+        g = make_geometry(h=2, w=2, r=5, s=5, pad=0)  # constructs: empty output
+        for _ in range(3):
+            with pytest.raises(BadParamError, match="empty"):
+                _ = g.y_desc
+        assert "_y_desc" not in vars(g)
+
+    def test_concurrent_first_reads_agree_and_take_no_lock(self):
+        """No lock is created or taken (``functools.cached_property`` would
+        take a class-wide one that the lock analyzer and sanitizer cannot
+        see); racing first reads still agree."""
+        lock_types = (type(threading.Lock()), type(threading.RLock()))
+        geometries = [make_geometry(n=n, stride=2) for n in range(1, 65)]
+        barrier = threading.Barrier(2)
+        seen: list[list] = [[], []]
+        locks: list = []
+
+        def watch(frame, event, arg):
+            if event == "c_call" and (
+                isinstance(getattr(arg, "__self__", None), lock_types)
+                or getattr(arg, "__name__", "") in ("allocate_lock", "RLock")
+            ):
+                locks.append(arg)
+
+        def read(slot: int) -> None:
+            barrier.wait(timeout=10)
+            sys.setprofile(watch)
+            try:
+                seen[slot] = [g.y_desc for g in geometries]
+            finally:
+                sys.setprofile(None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,)) for i in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen[0] == seen[1] == [
+            output_dims(g.x_desc, g.w_desc, g.conv_desc) for g in geometries
+        ]
+        assert locks == []
 
 
 @given(

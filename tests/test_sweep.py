@@ -28,7 +28,12 @@ from repro.core.wr import optimize_from_benchmark
 from repro.cudnn.api import find_algorithms, find_algorithms_batched
 from repro.cudnn.device import Node
 from repro.cudnn.handle import CudnnHandle, ExecMode
-from repro.errors import InfeasibleError, NotSupportedError, OptimizationError
+from repro.errors import (
+    BadParamError,
+    InfeasibleError,
+    NotSupportedError,
+    OptimizationError,
+)
 from repro.parallel import benchmark_kernels_parallel
 from repro.units import MIB
 from tests.conftest import make_geometry
@@ -209,6 +214,16 @@ class TestBatchedFind:
             noisy.perf.find_all_batched(g, sizes)
         rows = find_algorithms_batched(noisy, g, sizes)
         assert len(rows) == len(sizes)
+
+    @pytest.mark.parametrize("bad", [[0], [-2], [2.5], [True], [4, 2.0], [3, 0]])
+    def test_rejects_sizes_the_per_size_path_rejects(self, bad):
+        """A non-positive, non-integral or bool size raises BadParamError
+        (once yielding NaN rows, invented times, or a silent n=2)."""
+        g = make_geometry(n=8)
+        with pytest.raises(BadParamError):
+            find_algorithms_batched(CudnnHandle(mode=ExecMode.TIMING), g, bad)
+        with pytest.raises(BadParamError):
+            CudnnHandle(mode=ExecMode.TIMING).perf.find_all_batched(g, bad)
 
     def test_benchmark_kernel_fast_path_equals_serial_path(self):
         """samples=1 takes the batched path, samples>1 the per-size loop; a

@@ -231,6 +231,18 @@ class TestBodyCodecs:
         with pytest.raises(WireProtocolError, match="geometry"):
             geometry_from_wire({"n": 1})
 
+    @pytest.mark.parametrize("field,value", [
+        ("n", 2.5), ("n", True), ("c", 3.0), ("pad_h", 0.5), ("groups", False),
+        ("k", "8"), ("n", 0), ("stride_w", -1), ("h", None),
+    ])
+    def test_rejected_geometry_field_is_protocol_error(self, field, value):
+        """Non-integral, bool and out-of-range fields never decode into a
+        geometry (``n=2.5`` would give a second cache key, ``n2.5``)."""
+        data = geometry_to_wire(make_geometry(c=7, n=32))
+        data[field] = value
+        with pytest.raises(WireProtocolError, match="corrupt wire geometry"):
+            geometry_from_wire(data)
+
     def test_corrupt_request_is_protocol_error(self):
         with pytest.raises(WireProtocolError, match="corrupt wire plan"):
             request_from_wire({"kernel": "c1"})
