@@ -1,36 +1,35 @@
 """A from-scratch 0-1 Integer Linear Program solver.
 
 The paper solves WD with GLPK; offline we provide our own exact solver:
-branch-and-bound with best-first node selection, most-fractional branching,
-and a greedy rounding pass to seed the incumbent.  An exhaustive solver is
-included for cross-checking on small instances.
+branch-and-bound with best-first node selection, branching on the one
+fractional item of each node's LP optimum, and a greedy swap pass to seed
+the incumbent.  An exhaustive solver is included for cross-checking on
+small instances.
 
-The solver handles the general form::
+Problems are stated in the general form::
 
     minimize    c . x
     subject to  A_ub x <= b_ub
                 A_eq x == b_eq
                 x in {0, 1}^n
 
-which covers the WD formulation (Equation 1-4): one equality row per kernel
-("pick exactly one configuration") and a single inequality row (the shared
-workspace pool).
+but the branch-and-bound solves only the WD formulation (Equation 1-4), a
+multiple-choice knapsack (MCKP): one "pick exactly one configuration"
+equality row per kernel and a single inequality row (the shared workspace
+pool) with non-negative weights.  Any other shape raises
+:class:`~repro.errors.SolverError`; :func:`solve_exhaustive` still solves
+small instances of any shape.
 
-Node bounds come from one of two LP relaxations of identical tightness:
-
-* **generic** -- scipy's HiGHS ``linprog`` (any instance shape);
-* **MCKP-specialized** -- when the instance is recognized as a
-  multiple-choice knapsack (the WD shape), the LP optimum is computed
-  combinatorially via the classic convex-hull / greedy-upgrade relaxation
-  (Sinha & Zoltners): per group, only the lower-left convex hull of
-  (weight, cost) points can appear in an LP optimum; starting from each
-  group's min-weight hull point, hull arcs are taken in decreasing
-  cost-per-byte efficiency until the capacity is spent, the last arc
-  possibly fractionally.  This bound costs microseconds instead of a
-  simplex solve, which is what lets the pure-Python branch-and-bound prove
-  optimality on ResNet-50-sized WD instances in milliseconds -- the
-  performance class the paper observes with GLPK (5.46 ms for 562
-  binaries).
+Node bounds come from the MCKP LP relaxation, computed combinatorially via
+the classic convex-hull / greedy-upgrade relaxation (Sinha & Zoltners): per
+group, only the lower-left convex hull of (weight, cost) points can appear
+in an LP optimum; starting from each group's min-weight hull point, hull
+arcs are taken in decreasing cost-per-byte efficiency until the capacity is
+spent, the last arc possibly fractionally.  This bound costs microseconds
+instead of a simplex solve, which is what lets the pure-Python
+branch-and-bound prove optimality on ResNet-50-sized WD instances in
+milliseconds -- the performance class the paper observes with GLPK (5.46 ms
+for 562 binaries) -- with numpy as the only dependency.
 """
 
 from __future__ import annotations
@@ -38,10 +37,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 import repro.observability as observability
 import repro.telemetry as telemetry
@@ -118,31 +116,6 @@ class ILPSolution:
         return [int(i) for i in np.flatnonzero(self.x > 0.5)]
 
 
-def _solve_lp(problem: ZeroOneProblem, lower: np.ndarray, upper: np.ndarray):
-    """LP relaxation with variable bounds [lower, upper]; None if infeasible."""
-    res = linprog(
-        problem.costs,
-        A_ub=problem.a_ub,
-        b_ub=problem.b_ub,
-        A_eq=problem.a_eq,
-        b_eq=problem.b_eq,
-        bounds=list(zip(lower, upper)),
-        method="highs",
-    )
-    if not res.success:
-        return None
-    return res
-
-
-@dataclass(order=True)
-class _Node:
-    bound: float
-    seq: int
-    lower: np.ndarray = field(compare=False)
-    upper: np.ndarray = field(compare=False)
-    branch_var: int = field(compare=False)
-
-
 @dataclass(frozen=True)
 class _MckpShape:
     """Recognized multiple-choice-knapsack structure of a 0-1 ILP."""
@@ -205,7 +178,7 @@ class _MckpRelaxation:
     only the touched ("dirty") groups are re-hulled, and the greedy upgrade
     scan merges the static clean-arc stream with the few dirty arcs.  The
     scan stops as soon as the capacity is spent, so tight instances -- the
-    expensive case for the generic LP -- are the *cheap* case here.
+    expensive case for a simplex LP -- are the *cheap* case here.
     """
 
     def __init__(self, problem: ZeroOneProblem, shape: _MckpShape):
@@ -331,78 +304,16 @@ class _MckpRelaxation:
         return bound, choice, None
 
 
-def _mckp_lp_bound(problem: ZeroOneProblem, shape: _MckpShape,
-                   lower: np.ndarray, upper: np.ndarray):
-    """Exact LP-relaxation optimum for an MCKP node, combinatorially.
-
-    Returns ``(bound, choice, branch_var)``:
-    ``choice`` is the integral per-group selection when the LP optimum is
-    integral (else ``None``); ``branch_var`` is the upgrade item of the
-    single fractional arc (else ``None``).  ``bound`` is ``inf`` when the
-    node is infeasible.
-    """
-    costs, weights = problem.costs, shape.weights
-    hulls: list[list[int]] = []
-    for group in shape.groups:
-        forced = [int(v) for v in group if lower[v] > 0.5]
-        if len(forced) > 1:
-            return math.inf, None, None
-        if forced:
-            hulls.append(forced)
-            continue
-        admissible = [int(v) for v in group if upper[v] > 0.5]
-        if not admissible:
-            return math.inf, None, None
-        hulls.append(_group_hull(costs, weights, admissible))
-
-    base_cost = sum(costs[h[0]] for h in hulls)
-    base_weight = sum(weights[h[0]] for h in hulls)
-    remaining = shape.capacity - base_weight
-    if remaining < -_FEAS_TOL:
-        return math.inf, None, None
-
-    arcs = []  # (efficiency, group index, hull position of the upgrade)
-    for gi, hull in enumerate(hulls):
-        for pos in range(1, len(hull)):
-            a, b = hull[pos - 1], hull[pos]
-            dw = weights[b] - weights[a]
-            dc = costs[a] - costs[b]
-            arcs.append((dc / max(dw, 1e-30), gi, pos, dw, dc))
-    arcs.sort(key=lambda t: -t[0])
-
-    position = [0] * len(hulls)
-    bound = base_cost
-    branch_var = None
-    for eff, gi, pos, dw, dc in arcs:
-        if dw <= remaining + 1e-12:
-            remaining -= dw
-            bound -= dc
-            position[gi] = pos
-        else:
-            frac = max(0.0, remaining / dw)
-            bound -= frac * dc
-            if frac > _INT_TOL:
-                branch_var = hulls[gi][pos]
-            remaining = 0.0
-            break
-    if branch_var is not None:
-        return bound, None, branch_var
-    choice = [hulls[gi][position[gi]] for gi in range(len(hulls))]
-    return bound, choice, None
-
-
-def _greedy_incumbent(problem: ZeroOneProblem) -> np.ndarray | None:
-    """Heuristic feasible point for WD-shaped instances.
+def _greedy_incumbent(problem: ZeroOneProblem,
+                      shape: _MckpShape) -> np.ndarray | None:
+    """Heuristic feasible point for a WD-shaped instance.
 
     Start from the min-weight item per group (most likely to be feasible),
     then greedily apply the single swap with the best cost reduction that
-    stays feasible, until no swap helps.  Returns ``None`` when the instance
-    is not MCKP-shaped or no feasible start is found -- the branch-and-bound
-    works regardless, just with less pruning.
+    stays feasible, until no swap helps.  Returns ``None`` when no feasible
+    start is found -- the branch-and-bound works regardless, just with less
+    pruning.
     """
-    shape = _detect_mckp(problem)
-    if shape is None:
-        return None
     weights = shape.weights
     capacity = shape.capacity
     groups = shape.groups
@@ -522,7 +433,7 @@ def _solve_bnb_mckp(problem: ZeroOneProblem, shape: _MckpShape,
     """Branch-and-bound with the incremental combinatorial MCKP bound."""
     relax = _MckpRelaxation(problem, shape)
     incumbent = _Incumbent(problem)
-    greedy = _greedy_incumbent(problem)
+    greedy = _greedy_incumbent(problem, shape)
     if greedy is not None:
         incumbent.consider(greedy)
     _seed_warm_start(incumbent, warm_start)
@@ -598,86 +509,17 @@ def _solve_bnb_mckp(problem: ZeroOneProblem, shape: _MckpShape,
     )
 
 
-def _solve_bnb_generic(problem: ZeroOneProblem, max_nodes: int,
-                       start: float,
-                       warm_start: np.ndarray | None = None) -> ILPSolution:
-    """Branch-and-bound over scipy's HiGHS LP relaxation (any shape)."""
-    n = problem.num_variables
-    lp_calls = 0
-    nodes = 0
-    incumbent = _Incumbent(problem)
-    _seed_warm_start(incumbent, warm_start)
-
-    def evaluate(lower, upper):
-        nonlocal lp_calls
-        lp_calls += 1
-        res = _solve_lp(problem, lower, upper)
-        if res is None:
-            return math.inf, None, None
-        frac = np.abs(res.x - np.round(res.x))
-        branch_var = int(np.argmax(frac))
-        if frac[branch_var] <= _INT_TOL:
-            return res.fun, res.x, None
-        incumbent.consider(res.x)  # rounding heuristic
-        return res.fun, None, branch_var
-
-    root_lo = np.zeros(n)
-    root_hi = np.ones(n)
-    bound, x_int, branch_var = evaluate(root_lo, root_hi)
-    if math.isinf(bound):
-        raise SolverError("ILP is infeasible (LP relaxation has no solution)")
-
-    seq = itertools.count()
-    heap: list[_Node] = []
-    if x_int is not None:
-        incumbent.consider(x_int)
-    else:
-        heapq.heappush(heap, _Node(bound, next(seq), root_lo, root_hi, branch_var))
-
-    while heap:
-        node = heapq.heappop(heap)
-        if node.bound >= incumbent.objective - 1e-12:
-            continue
-        nodes += 1
-        if nodes > max_nodes:
-            raise SolverError(f"branch-and-bound exceeded {max_nodes} nodes")
-        for value in (1.0, 0.0):
-            lo = node.lower.copy()
-            hi = node.upper.copy()
-            lo[node.branch_var] = hi[node.branch_var] = value
-            child_bound, child_x, child_branch = evaluate(lo, hi)
-            if math.isinf(child_bound):
-                continue
-            if child_x is not None:
-                incumbent.consider(child_x)
-            elif child_bound < incumbent.objective - 1e-12:
-                heapq.heappush(
-                    heap, _Node(child_bound, next(seq), lo, hi, child_branch)
-                )
-
-    if incumbent.x is None:
-        raise SolverError("ILP has no integral feasible solution")
-    return ILPSolution(
-        x=incumbent.x,
-        objective=incumbent.objective,
-        optimal=True,
-        nodes_explored=nodes,
-        lp_calls=lp_calls,
-        solve_time=_CLOCK.now() - start,
-        num_variables=n,
-    )
-
-
 def solve_branch_and_bound(
     problem: ZeroOneProblem,
     max_nodes: int = 200_000,
     warm_start: np.ndarray | None = None,
 ) -> ILPSolution:
-    """Exact best-first branch-and-bound.
+    """Exact best-first branch-and-bound over the MCKP relaxation.
 
-    Dispatches to the incremental combinatorial MCKP relaxation when the
-    instance has the WD shape, and to scipy's HiGHS LP otherwise (see the
-    module docstring for why both bounds are equally tight).
+    ``problem`` must have the WD shape (see the module docstring); any other
+    shape raises :class:`SolverError` naming the shape required, and
+    :func:`solve_exhaustive` remains available for small instances of any
+    shape.
 
     ``warm_start`` is an optional 0-1 vector seeding the incumbent (after
     the greedy seed, replacing it only on strict improvement -- preserving
@@ -688,18 +530,21 @@ def solve_branch_and_bound(
     """
     start = _CLOCK.now()
     shape = _detect_mckp(problem)
+    if shape is None:
+        raise SolverError(
+            "branch-and-bound needs the WD (multiple-choice knapsack) shape: "
+            "0/1 equality rows with right-hand side 1 covering every variable "
+            "exactly once, and one inequality row with non-negative weights; "
+            "use solve_exhaustive for small instances of other shapes"
+        )
     with telemetry.span(
         "ilp.solve",
         variables=problem.num_variables,
-        relaxation="mckp" if shape is not None else "highs",
+        relaxation="mckp",
         warm_start=warm_start is not None,
     ) as tspan:
-        if shape is not None:
-            solution = _solve_bnb_mckp(problem, shape, max_nodes, start,
-                                       warm_start=warm_start)
-        else:
-            solution = _solve_bnb_generic(problem, max_nodes, start,
-                                          warm_start=warm_start)
+        solution = _solve_bnb_mckp(problem, shape, max_nodes, start,
+                                   warm_start=warm_start)
         tspan.set("objective", solution.objective)
         tspan.set("nodes", solution.nodes_explored)
         telemetry.count("ilp.nodes_explored", solution.nodes_explored,
@@ -717,7 +562,7 @@ def solve_branch_and_bound(
         rec.record(
             "solver.ilp",
             variables=problem.num_variables,
-            relaxation="mckp" if shape is not None else "highs",
+            relaxation="mckp",
             warm_start=warm_start is not None,
             objective=solution.objective,
             nodes_explored=solution.nodes_explored,

@@ -45,6 +45,7 @@ from repro.cudnn.enums import Algo, AlgoFamily, ConvType, algos_for, family_of
 from repro.cudnn.status import Status
 from repro.cudnn.workspace import (
     FFT_TILE,
+    TRANSFORM_CHUNKS,
     WINOGRAD_M,
     fft_dims,
     fft_tiles_per_image,
@@ -53,7 +54,7 @@ from repro.cudnn.workspace import (
     workspace_size,
     workspace_size_batch,
 )
-from repro.errors import NotSupportedError
+from repro.errors import BadParamError, NotSupportedError
 from repro.units import FLOAT_SIZE
 
 #: Sustained fraction of peak FLOP/s per algorithm family.
@@ -116,6 +117,39 @@ def _fft_plane_flops(hf: int, wf: int) -> float:
     return _FFT_C * hf * wf * max(1.0, math.log2(hf * wf))
 
 
+#: Every count the model derives must stay within this, because the batched
+#: Find evaluates them in int64.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _check_counts(g: ConvGeometry, workspace: int = 0) -> None:
+    """Raise :class:`BadParamError` if a count derived for ``g`` leaves int64.
+
+    ``g`` is a one-group geometry, as every model term is, and
+    ``workspace`` the largest workspace of its supported algorithms.  Each
+    integer the batched Find computes is at most one of three counts: the
+    FLOP count, the bytes of x, y and twice w, or that workspace times
+    ``TRANSFORM_CHUNKS`` (the product before the split).  All three grow
+    with N, so checking a call's largest size checks every size in it.
+    Both Find paths call this, so a batch size too large for the model
+    fails the same way on either path, whatever the layer.
+    """
+    y = g.y_desc
+    y_count = g.n * g.k * y.h * y.w
+    w_count = g.k * g.c * g.r * g.s
+    largest = max(
+        2 * y_count * g.c * g.r * g.s,  # the FLOP count
+        FLOAT_SIZE * (g.n * g.c * g.h * g.w + y_count + 2 * w_count),
+        TRANSFORM_CHUNKS * workspace,
+    )
+    if largest > _INT64_MAX:
+        raise BadParamError(
+            Status.BAD_PARAM,
+            f"batch size {g.n} is too large for {g}: a derived count "
+            f"reaches {largest}, past the int64 range",
+        )
+
+
 class PerfModel:
     """Analytic timing model bound to one :class:`GpuSpec`.
 
@@ -165,9 +199,15 @@ class PerfModel:
 
         Unsupported algorithms appear at the end with infinite time, matching
         cuDNN's behaviour of returning every enumerated algorithm with a
-        per-entry status.
+        per-entry status.  A batch size whose derived counts leave int64
+        raises :class:`BadParamError`, as on :meth:`find_all_batched`.
         """
+        sub = g.group_geometry()
+        # FLOPs and tensor bytes bound every number the time model converts
+        # to float; the rows then carry the exact workspaces to check.
+        _check_counts(sub)
         results = [self.query(g, a, sample=sample) for a in algos_for(g.conv_type)]
+        _check_counts(sub, max(r.workspace for r in results))
         return sorted(results, key=lambda r: (r.time, int(r.algo)))
 
     def find_all_batched(
@@ -189,9 +229,11 @@ class PerfModel:
 
         Every size must be a positive integer (``bool`` and non-integral
         values included), as :meth:`ConvGeometry.with_batch` requires on
-        the per-size path; otherwise :class:`BadParamError` is raised before
-        any row is computed.  Only valid for the jitter-free model -- noisy
-        samples are keyed per query and must go through :meth:`find_all`.
+        the per-size path, and small enough that the layer's derived counts
+        fit int64, as :meth:`find_all` requires; otherwise
+        :class:`BadParamError` is raised before any row is computed.  Only
+        valid for the jitter-free model -- noisy samples are keyed per query
+        and must go through :meth:`find_all`.
         """
         if self.jitter != 0.0:
             raise NotSupportedError(
@@ -201,13 +243,19 @@ class PerfModel:
         with telemetry.span(
             "perfmodel.batched_find", kernel=g.cache_key(), sizes=len(sizes)
         ) as tspan:
-            ns = np.array([_positive("batch size", n) for n in sizes],
-                          dtype=np.int64)
+            checked = [_positive("batch size", n) for n in sizes]
             # Support, workspace and time all compose G groups from one
             # group's sub-geometry, and none depends on N.
             sub = g.group_geometry()
-            y = sub.y_desc
             algos = algos_for(g.conv_type)
+            if checked:
+                at_max = sub.with_batch(max(checked))
+                _check_counts(at_max, max(
+                    workspace_size(at_max, algo)
+                    for algo in algos if is_supported(sub, algo)
+                ))
+            ns = np.array(checked, dtype=np.int64)
+            y = sub.y_desc
             times = np.empty((len(algos), len(ns)))
             columns: list[list[PerfResult]] = []
             supported = 0

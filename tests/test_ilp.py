@@ -1,5 +1,7 @@
 """Tests for the from-scratch 0-1 ILP solver (the GLPK stand-in)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,19 +104,50 @@ class TestBranchAndBound:
     @given(data=st.data())
     def test_pure_knapsack_without_groups(self, data):
         """Selection problems without equality rows (subset-min with a
-        knapsack constraint and negative costs to make selection attractive).
-
-        Costs are rounded to 1e-6 so they stay above the LP solver's dual
-        tolerance -- HiGHS legitimately treats |c| ~ 1e-12 as zero.
-        """
+        knapsack constraint and negative costs to make selection attractive)
+        are not WD-shaped: branch-and-bound refuses them, and the exhaustive
+        solver still solves them."""
         n = data.draw(st.integers(1, 8))
-        costs = [round(data.draw(st.floats(-5.0, 5.0)), 6) for _ in range(n)]
+        costs = [data.draw(st.floats(-5.0, 5.0)) for _ in range(n)]
         weights = [data.draw(st.integers(0, 10)) for _ in range(n)]
         capacity = data.draw(st.integers(0, 30))
         p = knapsack(costs, weights, capacity)
+        with pytest.raises(SolverError, match="multiple-choice knapsack"):
+            solve_branch_and_bound(p)
         exact = solve_exhaustive(p)  # all-zeros is always feasible
-        bnb = solve_branch_and_bound(p)
-        assert bnb.objective == pytest.approx(exact.objective)
+        best = min(
+            sum(costs[i] for i in subset)
+            for size in range(n + 1)
+            for subset in itertools.combinations(range(n), size)
+            if sum(weights[i] for i in subset) <= capacity
+        )
+        assert p.is_feasible(exact.x)
+        assert exact.objective == pytest.approx(best)
+
+    @pytest.mark.parametrize("shape", [
+        "two inequality rows", "no inequality row", "negative weight",
+        "variable in two groups", "group right-hand side 2",
+    ])
+    def test_non_wd_shapes_rejected(self, shape):
+        p = knapsack(costs=[3, 1, 2, 1], weights=[0, 4, 0, 4], capacity=4,
+                     groups=[0, 0, 1, 1])
+        a_ub, b_ub, a_eq, b_eq = p.a_ub, p.b_ub, p.a_eq, p.b_eq
+        if shape == "two inequality rows":
+            a_ub, b_ub = np.vstack([a_ub, a_ub]), np.concatenate([b_ub, b_ub])
+        elif shape == "no inequality row":
+            a_ub = b_ub = None
+        elif shape == "negative weight":
+            a_ub = a_ub.copy()
+            a_ub[0, 0] = -1.0
+        elif shape == "variable in two groups":
+            a_eq = a_eq.copy()
+            a_eq[1, 0] = 1.0
+        else:
+            b_eq = np.array([1.0, 2.0])
+        other = ZeroOneProblem(costs=p.costs, a_ub=a_ub, b_ub=b_ub,
+                               a_eq=a_eq, b_eq=b_eq)
+        with pytest.raises(SolverError, match="multiple-choice knapsack"):
+            solve_branch_and_bound(other)
 
 
 class TestExhaustive:

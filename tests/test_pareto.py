@@ -6,10 +6,11 @@ non-Pareto configurations never changes the WD ILP optimum.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.benchmarker import benchmark_kernel
 from repro.core.pareto import (
@@ -62,19 +63,24 @@ class TestParetoFront:
 
 
 def brute_force_desirable(table: dict[int, list[tuple[float, int]]], n: int,
-                          limit: int) -> set[tuple[float, int]]:
+                          limit: int) -> set[tuple[Fraction, int]]:
     """Exhaustive (time, workspace) Pareto points over all partitions of n
-    with all per-part algorithm choices (exponential: tiny n only)."""
+    with all per-part algorithm choices (exponential: tiny n only).
+
+    Times are summed exactly, as fractions: a float sum depends on the
+    order of its terms, so near-ties (0.1 + 0.1 + 0.1 against 0.15 + 0.15)
+    would otherwise decide membership by rounding.
+    """
     options = {
-        s: [(t, ws) for t, ws in entries if ws <= limit]
+        s: [(Fraction(t), ws) for t, ws in entries if ws <= limit]
         for s, entries in table.items()
     }
     options = {s: o for s, o in options.items() if o}
-    points: set[tuple[float, int]] = set()
+    points: set[tuple[Fraction, int]] = set()
 
-    def rec(remaining: int, t_acc: float, ws_acc: int, min_size: int):
+    def rec(remaining: int, t_acc: Fraction, ws_acc: int, min_size: int):
         if remaining == 0:
-            points.add((round(t_acc, 9), ws_acc))
+            points.add((t_acc, ws_acc))
             return
         for size, opts in options.items():
             if size > remaining or size < min_size:
@@ -82,26 +88,40 @@ def brute_force_desirable(table: dict[int, list[tuple[float, int]]], n: int,
             for t, ws in opts:
                 rec(remaining - size, t_acc + t, max(ws_acc, ws), size)
 
-    rec(n, 0.0, 0, 1)
+    rec(n, Fraction(0), 0, 1)
     front = pareto_front(sorted(points), lambda p: p[0], lambda p: p[1])
     return set(front)
 
 
+@st.composite
+def size_tables(draw):
+    """A mini-batch ``n`` and a benchmark table over a few sizes <= n."""
+    n = draw(st.integers(1, 6))
+    sizes = sorted(set(draw(
+        st.lists(st.integers(1, n), min_size=1, max_size=3))) | {1})
+    table = {
+        s: [(draw(st.floats(0.01, 10.0)), draw(st.integers(0, 50)))
+            for _ in range(draw(st.integers(1, 3)))]
+        for s in sizes
+    }
+    return n, table
+
+
 class TestDesirableSet:
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 6), data=st.data())
-    def test_matches_exhaustive_front(self, n, data):
-        sizes = sorted(set(data.draw(
-            st.lists(st.integers(1, n), min_size=1, max_size=3))) | {1})
-        table = {
-            s: [(data.draw(st.floats(0.01, 10.0)), data.draw(st.integers(0, 50)))
-                for _ in range(data.draw(st.integers(1, 3)))]
-            for s in sizes
-        }
+    @given(case=size_tables())
+    # 0.15 + 0.15 < 0.1 + 0.1 + 0.1 exactly: both points are on the front.
+    @example(case=(6, {1: [(1.0, 0)], 2: [(0.1, 0)], 3: [(0.15, 1)]}))
+    def test_matches_exhaustive_front(self, case):
+        n, table = case
         limit = 50
         bench = synth_benchmark(n, table)
         front = desirable_set(bench, workspace_limit=limit)
-        got = {(round(c.time, 9), c.workspace) for c in front}
+        got = set()
+        for c in front:
+            exact = sum((Fraction(m.time) for m in c.micros), Fraction(0))
+            assert math.isclose(c.time, exact, rel_tol=1e-12)
+            got.add((exact, c.workspace))
         expected = brute_force_desirable(table, n, limit)
         assert got == expected
 

@@ -21,7 +21,7 @@ from repro.cudnn.enums import ConvType, algos_for
 from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.cudnn.perfmodel import PerfModel
 from repro.cudnn.workspace import is_supported, workspace_size
-from repro.errors import NotSupportedError
+from repro.errors import BadParamError, NotSupportedError
 from tests import perfmodel_reference as ref
 
 SPECS = (K80, P100_SXM2, V100_SXM2)
@@ -98,6 +98,41 @@ def test_production_model_equals_reference(g):
                 total += sum(r.time for r in rows if r.ok)
             bench = benchmark_kernel(handle, gt, BatchSizePolicy.ALL)
             assert bench.benchmark_time == total
+
+
+def _largest_batch(model: PerfModel, g: ConvGeometry) -> int:
+    """Largest batch size ``find_all`` accepts for ``g`` (by bisection)."""
+    lo, hi = 1, 2**70
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            model.find_all(g.with_batch(mid))
+            lo = mid
+        except BadParamError:
+            hi = mid - 1
+    return lo
+
+
+@settings(max_examples=15, deadline=None)
+@given(g=oracle_geometry())
+@example(g=_geometry(c=1, k=1, h=1, w=1, r=1, s=1, pad_h=0, pad_w=0))
+@example(g=_geometry(c=512, k=512, h=56, w=56))
+@example(g=_geometry(c=64, groups=4, h=300, w=280))
+def test_batch_size_bound_is_exact(g):
+    """Up to the largest batch size the model accepts, the batched path's
+    int64 arithmetic equals the reference's exact integers; one past it,
+    both paths raise BadParamError."""
+    model = PerfModel(P100_SXM2)
+    oracle = ref.ReferenceModel(P100_SXM2)
+    for conv_type in ConvType:
+        gt = g.with_type(conv_type)
+        n = _largest_batch(model, gt)
+        assert model.find_all_batched(gt, [n, 1]) == \
+            oracle.find_all_per_size(gt, [n, 1])
+        with pytest.raises(BadParamError):
+            model.find_all_batched(gt, [1, n + 1])
+        with pytest.raises(BadParamError):
+            model.find_all(gt.with_batch(n + 1))
 
 
 @settings(max_examples=10, deadline=None)

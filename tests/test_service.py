@@ -16,6 +16,7 @@ import repro.observability as observability
 from repro.core.config import Configuration, MicroConfig
 from repro.cudnn.enums import FwdAlgo
 from repro.errors import (
+    BadParamError,
     DeadlineExceededError,
     ServiceOverloadedError,
     SolverError,
@@ -495,6 +496,19 @@ class TestServiceValidation:
             assert set(summary["bench_cache"]) == {
                 "hits", "misses", "evictions",
             }
+        finally:
+            svc.close()
+
+    def test_batch_size_past_the_model_range_is_a_bad_param(self):
+        """A request may carry any positive n; one whose derived counts
+        leave int64 fails as BadParamError instead of solving over
+        wrapped, negative workspaces."""
+        svc = PlanService(clock=ManualClock())
+        try:
+            with pytest.raises(BadParamError):
+                svc.request(PlanRequest(
+                    kernel="huge",
+                    geometry=make_geometry(n=2**40, c=256, k=256, h=56, w=56)))
         finally:
             svc.close()
 

@@ -225,6 +225,24 @@ class TestBatchedFind:
         with pytest.raises(BadParamError):
             CudnnHandle(mode=ExecMode.TIMING).perf.find_all_batched(g, bad)
 
+    def test_huge_batch_sizes_raise_on_both_paths(self):
+        """Past the int64 range of the batched arithmetic both paths raise
+        BadParamError (the batched path once wrapped to negative times and
+        workspaces at n = 2**40, and overflowed at 2**70); at 2**31 they
+        still agree."""
+        g = make_geometry(n=256, c=256, k=256, h=56, w=56)
+        model = CudnnHandle(mode=ExecMode.TIMING).perf
+        assert model.find_all_batched(g, [2**31]) == \
+            [model.find_all(g.with_batch(2**31))]
+        for n in (2**32, 2**40, 2**70):
+            with pytest.raises(BadParamError):
+                model.find_all_batched(g, [1, n])
+            with pytest.raises(BadParamError):
+                model.find_all(g.with_batch(n))
+            with pytest.raises(BadParamError):
+                find_algorithms_batched(CudnnHandle(mode=ExecMode.TIMING),
+                                        g, [n])
+
     def test_benchmark_kernel_fast_path_equals_serial_path(self):
         """samples=1 takes the batched path, samples>1 the per-size loop; a
         deterministic handle must get identical tables from both."""
