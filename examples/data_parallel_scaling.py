@@ -22,7 +22,7 @@ from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.frameworks import time_net
 from repro.frameworks.model_zoo import build_alexnet
 from repro.harness.tables import Table
-from repro.parallel import simulate_iteration
+from repro.parallel.data_parallel import simulate_iteration
 from repro.units import MIB
 
 BATCH = 256

@@ -29,41 +29,13 @@ Quickstart::
     net = build_alexnet(batch=256).setup(handle, workspace_limit=64 * MIB)
     report = time_net(net)
 
+``import repro`` loads no subpackage and re-exports nothing but
+``__version__``: import each name from the module that defines it (the
+``repro.UcudnnHandle``-style shortcuts and ``repro.core``-style attribute
+access without an import are gone).  That keeps a plan server's start-up
+down to the modules serving calls.
+
 See README.md and DESIGN.md for the full tour.
 """
 
-from repro import (
-    core,
-    cudnn,
-    frameworks,
-    harness,
-    memory,
-    observability,
-    parallel,
-    telemetry,
-    units,
-)
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
-from repro.cudnn import ConvGeometry, ConvType
-from repro.errors import ReproError
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "BatchSizePolicy",
-    "ConvGeometry",
-    "ConvType",
-    "Options",
-    "ReproError",
-    "UcudnnHandle",
-    "__version__",
-    "core",
-    "cudnn",
-    "frameworks",
-    "harness",
-    "memory",
-    "observability",
-    "parallel",
-    "telemetry",
-    "units",
-]

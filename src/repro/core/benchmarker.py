@@ -23,7 +23,7 @@ from repro.cudnn.api import find_algorithms, find_algorithms_batched
 from repro.cudnn.enums import AlgoFamily, is_deterministic
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.handle import CudnnHandle
-from repro.cudnn.perfmodel import PerfResult
+from repro.cudnn.perfmodel import PerfResult, check_batch_size
 from repro.telemetry.locks import blocking
 
 if TYPE_CHECKING:
@@ -268,6 +268,10 @@ def benchmark_kernel(
     with telemetry.span(
         "benchmark.kernel", kernel=geometry.cache_key(), policy=policy.value
     ) as kspan:
+        if policy is BatchSizePolicy.ALL:
+            # ``all`` lists every size 1..N: refuse an N past the model's
+            # int64 bound before building that list.
+            check_batch_size(geometry)
         sizes = candidate_sizes(policy, geometry.n)
         found_map: dict[int, list[PerfResult]] = {}
         pending: list[int] = []

@@ -4,7 +4,10 @@ The policy determines which micro-batch sizes the WR benchmarking step
 measures:
 
 * ``all``        -- every size ``1..N``; optimal but costs ``O(N)`` benchmark
-  invocations per kernel.
+  invocations per kernel.  :func:`~repro.core.benchmarker.benchmark_kernel`
+  rejects an ``N`` past the performance model's int64 bound before listing
+  the sizes, but within that bound ``all`` still costs ``O(N)`` time and
+  memory (a wire request may carry any ``n`` the bound admits).
 * ``powerOfTwo`` -- sizes ``1, 2, 4, ..., 2^floor(log2 N)`` plus ``N`` itself;
   ``O(log N)`` cost, near-optimal in practice (paper: 3.82 s vs 34.16 s for
   AlexNet at nearly identical quality).

@@ -150,6 +150,21 @@ def _check_counts(g: ConvGeometry, workspace: int = 0) -> None:
         )
 
 
+def check_batch_size(g: ConvGeometry) -> None:
+    """Raise :class:`BadParamError` if ``g.n`` is too large for the model.
+
+    The int64 bound :meth:`PerfModel.find_all_batched` applies to its
+    largest size, callable before any per-size work: a caller about to list
+    every size ``1..N`` (the ``all`` policy) refuses an out-of-range ``N``
+    first.
+    """
+    sub = g.group_geometry()
+    _check_counts(sub, max(
+        workspace_size(sub, algo)
+        for algo in algos_for(g.conv_type) if is_supported(sub, algo)
+    ))
+
+
 class PerfModel:
     """Analytic timing model bound to one :class:`GpuSpec`.
 
@@ -249,11 +264,7 @@ class PerfModel:
             sub = g.group_geometry()
             algos = algos_for(g.conv_type)
             if checked:
-                at_max = sub.with_batch(max(checked))
-                _check_counts(at_max, max(
-                    workspace_size(at_max, algo)
-                    for algo in algos if is_supported(sub, algo)
-                ))
+                check_batch_size(sub.with_batch(max(checked)))
             ns = np.array(checked, dtype=np.int64)
             y = sub.y_desc
             times = np.empty((len(algos), len(ns)))

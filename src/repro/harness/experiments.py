@@ -51,7 +51,7 @@ from repro.frameworks.model_zoo import (
 )
 from repro.harness.tables import Table, fmt_ms, fmt_ratio
 from repro.memory import memory_report
-from repro.parallel import benchmark_kernels_parallel
+from repro.parallel.evaluator import benchmark_kernels_parallel
 from repro.units import MIB, format_bytes
 
 #: Mini-batch sizes of the paper's evaluation per network.

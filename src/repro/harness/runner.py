@@ -51,40 +51,40 @@ import time
 import traceback
 
 import repro.telemetry as telemetry
-from repro.harness import experiments as E
-from repro.observability import report as provenance_report
 from repro.telemetry import exporters, locks
 
-#: Experiment registry: id -> (callable, description).  Callables take no
+#: Experiment registry: id -> (entry point, description).  An entry point is
+#: the name of a :mod:`repro.harness.experiments` function, imported only
+#: when the experiment runs (a callable works too).  Entry points take no
 #: arguments here (paper-default parameterizations).
 REGISTRY = {
-    "fig1": (E.fig1_best_vs_minus_one_byte,
+    "fig1": ("fig1_best_vs_minus_one_byte",
              "cuDNN fallback cliff, AlexNet fwd (Best vs -1 byte)"),
-    "fig8": (E.fig8_pareto_front,
+    "fig8": ("fig8_pareto_front",
              "desirable set (Pareto front) of conv2 Forward @120 MiB"),
-    "fig9": (E.fig9_conv2_wr,
+    "fig9": ("fig9_conv2_wr",
              "WR on conv2 @64 MiB per batch-size policy"),
-    "fig10": (E.fig10_alexnet_three_gpus,
+    "fig10": ("fig10_alexnet_three_gpus",
               "Caffe AlexNet on K80/P100/V100 x {8,64,512} MiB"),
-    "fig11": (E.fig11_tensorflow,
+    "fig11": ("fig11_tensorflow",
               "TensorFlow driver: AlexNet/ResNet-50/DenseNet-40"),
-    "fig12": (E.fig12_memory,
+    "fig12": ("fig12_memory",
               "per-layer memory: cuDNN@512 MiB vs mu-cuDNN@64 MiB"),
-    "fig13": (E.fig13_wr_vs_wd,
+    "fig13": ("fig13_wr_vs_wd",
               "WR vs WD at equal total workspace"),
-    "fig14": (E.fig14_workspace_division,
+    "fig14": ("fig14_workspace_division",
               "WD division of AlexNet's 120 MiB pool"),
-    "opt-cost": (E.tab_optimization_cost,
+    "opt-cost": ("tab_optimization_cost",
                  "optimization cost: all vs powerOfTwo, 1 vs 4 GPUs"),
-    "ilp-stats": (E.tab_ilp_stats,
+    "ilp-stats": ("tab_ilp_stats",
                   "WD ILP size & solve time, ResNet-50"),
-    "sweep": (E.tab_sweep_cost,
+    "sweep": ("tab_sweep_cost",
               "cross-limit sweep cost vs per-limit solvers, ResNet-50"),
-    "explain": (E.explain_report,
+    "explain": ("explain_report",
                 "decision provenance: why each kernel got its configuration"),
-    "serve": (E.serve_plans,
+    "serve": ("serve_plans",
               "plan service under a deterministic client population"),
-    "client": (E.client_plans,
+    "client": ("client_plans",
                "wire client against a running plan server (--connect)"),
 }
 
@@ -101,6 +101,15 @@ SOLVER_METRICS = (
     "solver.tensor_passes", "solver.delta_solves",
     "solver.full_solves_avoided", "wr.t1_memo_hits",
 )
+
+
+def _entry_point(entry):
+    """The callable a :data:`REGISTRY` entry names, imported on first use."""
+    if callable(entry):
+        return entry
+    from repro.harness import experiments
+
+    return getattr(experiments, entry)
 
 
 def _prepare_output(path: str) -> str:
@@ -165,6 +174,8 @@ def _finish_lock_sanitizer(
 
 def _run_diff(path_a: str, path_b: str) -> int:
     """``--diff A.json B.json``: print configuration drift between reports."""
+    from repro.observability import report as provenance_report
+
     reports = []
     for path in (path_a, path_b):
         try:
@@ -207,7 +218,7 @@ def _run_server(args: argparse.Namespace) -> int:
     from repro.persistence import PersistentPlanStore
     from repro.service import PlanService, RequestLog
     from repro.telemetry import ManualClock
-    from repro.wire import AdminServer, PlanServer, parse_address
+    from repro.wire import PlanServer, parse_address
 
     try:
         host, port = parse_address(args.listen)
@@ -289,6 +300,8 @@ def _run_server(args: argparse.Namespace) -> int:
         with PlanServer(service, host, port,
                         snapshot_path=args.store) as server:
             if admin_addr is not None:
+                from repro.wire.admin import AdminServer
+
                 admin = AdminServer(
                     service, wire_stats=server.stats.as_dict,
                     host=admin_addr[0], port=admin_addr[1],
@@ -458,7 +471,8 @@ def main(argv: list[str] | None = None) -> int:
     with telemetry.capture() as session:
         metrics = session.metrics
         for key in wanted:
-            fn, desc = REGISTRY[key]
+            entry, desc = REGISTRY[key]
+            fn = _entry_point(entry)
             counts0 = {
                 name: metrics.value(name, 0)
                 for name in ("cache.bench.hits", "cache.bench.misses",

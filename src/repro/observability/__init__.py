@@ -9,11 +9,12 @@ provenance is **off by default and zero-overhead when off**.
 Enable it explicitly::
 
     from repro import observability
+    from repro.observability import report
 
     recorder = observability.enable()     # or enable(clock=ManualClock())
     ...  run any optimizer ...
-    report = observability.report.build_report(recorder, model="alexnet")
-    print(observability.report.render_text(report))
+    built = report.build_report(recorder, model="alexnet")
+    print(report.render_text(built))
     observability.disable()
 
 or scoped, restoring whatever was active before::
@@ -25,14 +26,14 @@ The event taxonomy lives in :mod:`repro.observability.provenance`, the
 text/JSON/HTML renderers and the ``--diff`` drift report in
 :mod:`repro.observability.report`; both are documented in DESIGN.md
 ("Observability").  The harness front-end is
-``python -m repro.harness.runner explain``.
+``python -m repro.harness.runner explain``.  The package does not import
+:mod:`~repro.observability.report`; import it where reports are rendered.
 """
 
 from __future__ import annotations
 
 import contextlib
 
-from repro.observability import report
 from repro.observability.provenance import (
     NULL_RECORDER,
     PROVENANCE_SCHEMA_VERSION,
@@ -54,7 +55,6 @@ __all__ = [
     "enable",
     "enabled",
     "recorder",
-    "report",
     "session",
 ]
 

@@ -1,21 +1,9 @@
 """Parallel substrates: multi-GPU benchmark evaluation and data-parallel
-training simulation (the paper's introduction motivation)."""
+training simulation (the paper's introduction motivation).
 
-from repro.parallel.data_parallel import (
-    DataParallelIteration,
-    ring_allreduce_time,
-    simulate_iteration,
-)
-from repro.parallel.evaluator import ParallelBenchmarkResult, benchmark_kernels_parallel
-from repro.parallel.scheduler import Schedule, schedule_lpt, schedule_round_robin
-
-__all__ = [
-    "DataParallelIteration",
-    "ParallelBenchmarkResult",
-    "Schedule",
-    "benchmark_kernels_parallel",
-    "ring_allreduce_time",
-    "schedule_lpt",
-    "schedule_round_robin",
-    "simulate_iteration",
-]
+Import from the submodules -- :mod:`repro.parallel.evaluator`,
+:mod:`repro.parallel.data_parallel` and :mod:`repro.parallel.scheduler`.
+The package loads none of them, so the cluster router's use of
+:func:`~repro.parallel.scheduler.schedule_lpt` does not load the framework
+that the data-parallel model reads its timing reports from.
+"""

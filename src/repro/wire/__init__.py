@@ -9,10 +9,11 @@ training processes the same blocking ``plan(request) -> response`` call
 they would have in-process -- same plans, same taxonomy errors, plus a
 network in between.
 
-See :mod:`repro.wire.protocol` for the byte-level grammar.
+See :mod:`repro.wire.protocol` for the byte-level grammar.  The HTTP admin
+endpoints live in :mod:`repro.wire.admin` and are not re-exported here, so
+a server started without ``--admin`` never loads ``http.server``.
 """
 
-from repro.wire.admin import AdminServer
 from repro.wire.client import PlanClient
 from repro.wire.protocol import (
     MAX_FRAME_BYTES,
@@ -37,7 +38,6 @@ from repro.wire.protocol import (
 from repro.wire.server import PlanServer, WireStats
 
 __all__ = [
-    "AdminServer",
     "MAX_FRAME_BYTES",
     "PlanClient",
     "PlanServer",

@@ -627,7 +627,8 @@ class TestStaticDynamicCrossCheck:
         from urllib.request import urlopen
 
         from repro.service import PlanRequest, PlanService, RequestLog
-        from repro.wire import AdminServer, PlanClient, PlanServer
+        from repro.wire import PlanClient, PlanServer
+        from repro.wire.admin import AdminServer
         from tests.conftest import make_geometry
 
         monitor = enable_sanitizer()

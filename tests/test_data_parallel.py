@@ -8,7 +8,7 @@ from repro.cudnn.device import Gpu
 from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.frameworks import time_net
 from repro.frameworks.model_zoo import build_alexnet
-from repro.parallel import ring_allreduce_time, simulate_iteration
+from repro.parallel.data_parallel import ring_allreduce_time, simulate_iteration
 from repro.units import MIB
 
 

@@ -8,11 +8,8 @@ from repro.core.cache import BenchmarkCache
 from repro.core.policies import BatchSizePolicy
 from repro.cudnn.device import Node
 from repro.cudnn.handle import CudnnHandle, ExecMode
-from repro.parallel import (
-    benchmark_kernels_parallel,
-    schedule_lpt,
-    schedule_round_robin,
-)
+from repro.parallel.evaluator import benchmark_kernels_parallel
+from repro.parallel.scheduler import schedule_lpt, schedule_round_robin
 from tests.conftest import make_geometry
 
 

@@ -48,6 +48,16 @@ class TestRunner:
             "client",
         }
 
+    def test_every_registry_entry_names_an_experiment(self):
+        """The runner imports the experiments only when one runs, so a
+        misspelt entry point would surface only then; check them all."""
+        from repro.harness import experiments as E
+
+        for key, (entry, desc) in REGISTRY.items():
+            assert isinstance(entry, str), key
+            assert callable(getattr(E, entry, None)), (key, entry)
+            assert desc
+
     def test_summary_line_reports_cache_hits_and_misses(self, capsys):
         assert main(["fig9"]) == 0
         out = capsys.readouterr().out

@@ -34,7 +34,7 @@ from repro.errors import (
     NotSupportedError,
     OptimizationError,
 )
-from repro.parallel import benchmark_kernels_parallel
+from repro.parallel.evaluator import benchmark_kernels_parallel
 from repro.units import MIB
 from tests.conftest import make_geometry
 from tests.test_optimizer_properties import model_geometry
@@ -242,6 +242,26 @@ class TestBatchedFind:
             with pytest.raises(BadParamError):
                 find_algorithms_batched(CudnnHandle(mode=ExecMode.TIMING),
                                         g, [n])
+
+    def test_all_policy_rejects_huge_batch_before_listing_sizes(
+        self, monkeypatch
+    ):
+        """The ``all`` policy lists every size 1..N, so an N past the int64
+        bound must fail as BadParamError before that list (of 2**40 ints,
+        once) is built.  The spy never builds it, even where the bound is
+        missing."""
+        calls = []
+
+        def spy(policy, batch):
+            calls.append((policy, batch))
+            raise AssertionError("candidate_sizes ran before the bound")
+
+        monkeypatch.setattr("repro.core.benchmarker.candidate_sizes", spy)
+        g = make_geometry(n=2**40, c=256, k=256, h=56, w=56)
+        with pytest.raises(BadParamError):
+            benchmark_kernel(CudnnHandle(mode=ExecMode.TIMING), g,
+                             BatchSizePolicy.ALL)
+        assert calls == []
 
     def test_benchmark_kernel_fast_path_equals_serial_path(self):
         """samples=1 takes the batched path, samples>1 the per-size loop; a
