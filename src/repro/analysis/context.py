@@ -94,16 +94,6 @@ class ModuleContext:
                 return ancestor
         return None
 
-    def enclosing_class(self, node: ast.AST) -> ast.ClassDef | None:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, ast.ClassDef):
-                return ancestor
-            if isinstance(ancestor, FUNCTION_NODES):
-                # A class defined inside a function shadows nothing here;
-                # keep walking only until the nearest class or module.
-                continue
-        return None
-
     def in_loop(self, node: ast.AST) -> bool:
         """Whether the node sits inside a loop body or a comprehension."""
         for ancestor in self.ancestors(node):

@@ -50,7 +50,7 @@ def _bench_key_template(gpu_name: str, geometry: ConvGeometry) -> tuple[str, str
     return f"{gpu_name}|{head}{sep}", rest[len(str(geometry.n)):]
 
 
-def _parse_bench_section(section: object, where: str) -> dict[str, list[PerfResult]]:
+def _parse_bench_section(section: object, where: str) -> dict[str, tuple[PerfResult, ...]]:
     """Validate + decode the ``benchmarks`` section of a payload.
 
     Malformed structure (wrong container types, rows missing fields,
@@ -63,12 +63,12 @@ def _parse_bench_section(section: object, where: str) -> dict[str, list[PerfResu
             f"{where}: 'benchmarks' must be an object, "
             f"got {type(section).__name__}"
         )
-    bench: dict[str, list[PerfResult]] = {}
+    bench: dict[str, tuple[PerfResult, ...]] = {}
     for key, rows in section.items():
         try:
             conv_type = ConvType(rows[0]["conv_type"]) if rows else ConvType.FORWARD
             algo_enum = ALGOS_FOR[conv_type]
-            bench[key] = [
+            bench[key] = tuple(
                 PerfResult(
                     algo=algo_enum(r["algo"]),
                     status=Status.SUCCESS,
@@ -76,7 +76,7 @@ def _parse_bench_section(section: object, where: str) -> dict[str, list[PerfResu
                     workspace=int(r["workspace"]),
                 )
                 for r in rows
-            ]
+            )
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise CacheError(
                 f"{where}: corrupt benchmark entry {key!r}: {exc}"
@@ -121,10 +121,13 @@ class BenchmarkCache:
         safe: entries are deterministic for a given GPU model).
     capacity:
         Optional bound on the total number of in-memory entries (benchmark
-        tables plus optimized configurations together).  ``None`` -- the
-        default, and the paper's behavior -- is unlimited.  When bounded,
-        inserting past the limit evicts the least-recently-*used* entry
-        (lookups refresh recency) and increments :attr:`evictions`.
+        tables plus optimized configurations together), fixed at
+        construction.  ``None`` -- the default, and the paper's behavior --
+        is unlimited and keeps no recency order.  When bounded, inserting
+        past the limit evicts the least-recently-*used* entry (lookups
+        refresh recency) and increments :attr:`evictions`.
+
+    Each size's rows are stored as one tuple; lookups return fresh lists.
     """
 
     def __init__(
@@ -135,7 +138,7 @@ class BenchmarkCache:
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
         self.path = Path(path) if path is not None else None
-        self.capacity = capacity
+        self._capacity = capacity
         #: Owning lock for all mutable state below: the cache is shared by
         #: the parallel evaluator's worker threads and across policies.
         self._lock = new_lock("bench", reentrant=True)
@@ -145,7 +148,7 @@ class BenchmarkCache:
         #: "bench.io" level is blocking-allowed by contract (DESIGN.md
         #: section 14); "bench" is not.
         self._io_lock = new_lock("bench.io")
-        self._bench: dict[str, list[PerfResult]] = {}
+        self._bench: dict[str, tuple[PerfResult, ...]] = {}
         self._configs: dict[str, dict] = {}
         #: Hit/miss counters, split by what was looked up: benchmark tables
         #: (the expensive cudnnFind results) vs optimized configurations
@@ -157,8 +160,7 @@ class BenchmarkCache:
         #: Entries dropped by the LRU bound (always 0 when unbounded).
         self.evictions = 0
         #: Global LRU order across both stores; keys are ("bench"|"config",
-        #: entry key), values unused.  Maintained even when unbounded so
-        #: setting a capacity later via a subclass stays possible.
+        #: entry key), values unused.  Empty when unbounded: nothing evicts.
         self._recency: "OrderedDict[tuple[str, str], None]" = OrderedDict()
         #: Callbacks fired (outside the lock) when :meth:`put_benchmark`
         #: overwrites existing rows with different values -- the signal that
@@ -167,6 +169,11 @@ class BenchmarkCache:
         self._dirty = False
         if self.path is not None and self.path.exists():
             self.load()
+
+    @property
+    def capacity(self) -> int | None:
+        """The entry bound given at construction (``None``: unbounded)."""
+        return self._capacity
 
     @property
     def hits(self) -> int:
@@ -196,12 +203,13 @@ class BenchmarkCache:
         """Rows of one kernel at each micro-batch size, in ``sizes`` order.
 
         One lock hold for the whole table; each size still counts its own
-        hit or miss and refreshes its own LRU recency, exactly as one
-        :meth:`get_benchmark` call per size would.
+        hit or miss and (when bounded) refreshes its own LRU recency, exactly
+        as one :meth:`get_benchmark` call per size would.
         """
         head, tail = _bench_key_template(gpu_name, geometry)
         keys = [f"{head}{size}{tail}" for size in sizes]
         out: list[list[PerfResult] | None] = []
+        bounded = self._capacity is not None
         with self._lock:
             for key in keys:
                 entry = self._bench.get(key)
@@ -210,7 +218,8 @@ class BenchmarkCache:
                     out.append(None)
                 else:
                     self.bench_hits += 1
-                    self._recency.move_to_end(("bench", key))
+                    if bounded:
+                        self._recency.move_to_end(("bench", key))
                     out.append(list(entry))
         if telemetry.enabled():
             for key, entry in zip(keys, out):
@@ -254,7 +263,7 @@ class BenchmarkCache:
         """Insert or refresh one kernel's rows at several micro-batch sizes.
 
         Sizes are inserted in ``rows`` order under one lock hold, each with
-        its own recency bump and LRU eviction pass, exactly as one
+        its own recency bump and eviction pass when bounded, exactly as one
         :meth:`put_benchmark` call per size would.  Overwriting an existing
         size with *different* rows notifies every registered invalidation
         listener (outside the lock) once per such size, with that size's
@@ -270,15 +279,13 @@ class BenchmarkCache:
         with self._lock:
             for size, results in rows.items():
                 key = f"{head}{size}{tail}"
-                new = list(results)
+                new = tuple(results)
                 old = self._bench.get(key)
                 if old is not None and old != new:
                     changed.append(size)
                 self._bench[key] = new
-                self._recency[("bench", key)] = None
-                self._recency.move_to_end(("bench", key))
                 self._dirty = True
-                evicted += self._evict_over_capacity()
+                evicted += self._evict_over_capacity(("bench", key))
             listeners = list(self._listeners) if changed else []
         if evicted and telemetry.enabled():
             telemetry.count("cache.evictions", evicted,
@@ -325,7 +332,8 @@ class BenchmarkCache:
                 self.config_misses += 1
             else:
                 self.config_hits += 1
-                self._recency.move_to_end(("config", key))
+                if self._capacity is not None:
+                    self._recency.move_to_end(("config", key))
         if data is None:
             if telemetry.enabled():
                 telemetry.count("cache.misses", help="benchmark/config cache misses")
@@ -345,21 +353,23 @@ class BenchmarkCache:
     ) -> None:
         with self._lock:
             self._configs[key] = configuration.to_dict(conv_type)
-            self._recency[("config", key)] = None
-            self._recency.move_to_end(("config", key))
             self._dirty = True
-            evicted = self._evict_over_capacity()
+            evicted = self._evict_over_capacity(("config", key))
         if evicted and telemetry.enabled():
             telemetry.count("cache.evictions", evicted,
                             help="entries dropped by the LRU capacity bound")
 
-    def _evict_over_capacity(self) -> int:
-        """Drop LRU entries past :attr:`capacity` (re-entrant on the lock)."""
-        if self.capacity is None:
+    def _evict_over_capacity(self, *touched: tuple[str, str]) -> int:
+        """Bump ``touched`` to most recent, then drop LRU entries past
+        :attr:`capacity`; a no-op when unbounded (re-entrant on the lock)."""
+        if self._capacity is None:
             return 0
         evicted = 0
         with self._lock:
-            while len(self._bench) + len(self._configs) > self.capacity:
+            for entry in touched:
+                self._recency[entry] = None
+                self._recency.move_to_end(entry)
+            while len(self._bench) + len(self._configs) > self._capacity:
                 (kind, old_key), _ = self._recency.popitem(last=False)
                 if kind == "bench":
                     del self._bench[old_key]
@@ -493,10 +503,10 @@ class BenchmarkCache:
         with self._lock:
             self._bench = bench
             self._configs = configs
-            self._recency = OrderedDict(
-                [(("bench", key), None) for key in self._bench]
-                + [(("config", key), None) for key in self._configs]
-            )
+            self._recency = OrderedDict()
+            if self._capacity is not None:
+                self._recency.update((("bench", key), None) for key in bench)
+                self._recency.update((("config", key), None) for key in configs)
             evicted = self._evict_over_capacity()
             self._dirty = False
         if evicted and telemetry.enabled():
@@ -528,7 +538,8 @@ class BenchmarkCache:
                 if key in self._bench:
                     continue
                 self._bench[key] = results
-                self._recency[("bench", key)] = None
+                if self._capacity is not None:
+                    self._recency[("bench", key)] = None
                 added += 1
             for key, data in configs.items():
                 if only_gpu is not None and key.split("|", 1)[0] != only_gpu:
@@ -536,7 +547,8 @@ class BenchmarkCache:
                 if key in self._configs:
                     continue
                 self._configs[key] = data
-                self._recency[("config", key)] = None
+                if self._capacity is not None:
+                    self._recency[("config", key)] = None
                 added += 1
             if added:
                 self._dirty = True

@@ -33,7 +33,6 @@ import enum
 import numpy as np
 
 import repro.telemetry as telemetry
-from repro.cudnn import kernels
 from repro.cudnn.descriptors import (
     ConvGeometry,
     ConvolutionDescriptor,
@@ -43,7 +42,6 @@ from repro.cudnn.descriptors import (
 )
 from repro.cudnn.enums import Algo, ConvType
 from repro.cudnn.handle import CudnnHandle, ExecMode
-from repro.cudnn.kernels.common import DTYPE
 from repro.cudnn.perfmodel import PerfResult
 from repro.cudnn.status import Status
 from repro.cudnn.workspace import is_supported, workspace_size
@@ -204,11 +202,15 @@ def _execute(
     handle.execute_kernel(g, algo, handle.perf.time(g, algo))
     if handle.mode == ExecMode.TIMING:
         return None
-    return numeric()
+    from repro.cudnn import kernels  # numpy kernels: NUMERIC mode only
+
+    return numeric(kernels)
 
 
 def _blend(alpha: float, value: np.ndarray, beta: float, out: np.ndarray | None):
     """cuDNN output blending: ``out = alpha * value + beta * out``."""
+    from repro.cudnn.kernels.common import DTYPE
+
     value = value.astype(DTYPE, copy=False)
     if alpha != 1.0:
         value = value * DTYPE(alpha)
@@ -249,7 +251,7 @@ def convolution_forward(
     g = make_geometry(ConvType.FORWARD, x_desc, w_desc, conv_desc, y_desc)
     return _execute(
         handle, g, algo, workspace,
-        lambda: _blend(alpha, kernels.forward(g, x, w, algo), beta, y),
+        lambda k: _blend(alpha, k.forward(g, x, w, algo), beta, y),
     )
 
 
@@ -276,7 +278,7 @@ def convolution_backward_data(
     g = make_geometry(ConvType.BACKWARD_DATA, dx_desc, w_desc, conv_desc, dy_desc)
     return _execute(
         handle, g, algo, workspace,
-        lambda: _blend(alpha, kernels.backward_data(g, dy, w, algo), beta, dx),
+        lambda k: _blend(alpha, k.backward_data(g, dy, w, algo), beta, dx),
     )
 
 
@@ -307,5 +309,5 @@ def convolution_backward_filter(
     g = make_geometry(ConvType.BACKWARD_FILTER, x_desc, dw_desc, conv_desc, dy_desc)
     return _execute(
         handle, g, algo, workspace,
-        lambda: _blend(alpha, kernels.backward_filter(g, x, dy, algo), beta, dw),
+        lambda k: _blend(alpha, k.backward_filter(g, x, dy, algo), beta, dw),
     )

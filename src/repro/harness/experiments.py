@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    # Runtime import stays lazy (inside serve_plans): repro.service pulls in
-    # harness.tables, which would close an import cycle through this module.
-    from repro.service import SoakReport
+    # Runtime import stays lazy (inside serve_plans): repro.service.soak pulls
+    # in harness.tables, which would close an import cycle through this module.
+    from repro.service.soak import SoakReport
 
 from repro.core import (
     BatchSizePolicy,
@@ -936,7 +936,8 @@ def serve_plans(
     from repro.persistence import (
         load_snapshot, save_snapshot, snapshot_service, warm_start,
     )
-    from repro.service import RequestLog, SoakConfig, build_service, run_soak
+    from repro.service import RequestLog
+    from repro.service.soak import SoakConfig, build_service, run_soak
 
     cluster_knobs = {
         "shards": shards,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cudnn.device import GpuSpec, gpu_spec
 from repro.frameworks.timing import TimingReport
 
 #: Interconnect profiles: bytes/s per link and per-step latency.  NVLink
@@ -108,13 +107,3 @@ def simulate_iteration(
         allreduce_time=allreduce,
         exposed_comm_time=exposed,
     )
-
-
-def activation_bytes_at_capacity(
-    gpu: str | GpuSpec,
-    used_bytes: int,
-) -> int:
-    """Memory left on ``gpu`` after the model's working set -- the budget a
-    framework can hand to convolution workspaces."""
-    spec = gpu if isinstance(gpu, GpuSpec) else gpu_spec(gpu)
-    return max(0, spec.mem_bytes - used_bytes)

@@ -15,9 +15,10 @@ Entry points:
 * :class:`PlanRequest` / :class:`PlanResponse` / :class:`PlanKey` -- the
   request protocol, with ``source`` provenance on every response;
 * :class:`PlanStore` -- the bounded LRU+TTL plan cache;
-* :class:`FaultInjector` -- seeded fault schedules for testing degradation;
-* :func:`run_soak` / :class:`SoakConfig` -- the deterministic closed-loop
-  load driver behind ``runner serve --soak``.
+* :class:`FaultInjector` -- seeded fault schedules for testing degradation.
+
+The deterministic closed-loop load driver behind ``runner serve --soak``
+lives in :mod:`repro.service.soak`; a plan server never loads it.
 """
 
 from repro.service.faults import (
@@ -37,7 +38,6 @@ from repro.service.requests import (
     ServiceStats,
     StoreStats,
 )
-from repro.service.soak import SoakConfig, SoakReport, build_service, run_soak
 from repro.service.store import PlanStore
 
 __all__ = [
@@ -57,9 +57,5 @@ __all__ = [
     "RequestLog",
     "RequestRecord",
     "ServiceStats",
-    "SoakConfig",
-    "SoakReport",
     "StoreStats",
-    "build_service",
-    "run_soak",
 ]

@@ -330,6 +330,84 @@ class TestCapacity:
             BenchmarkCache(capacity=0)
 
 
+class TestRowStore:
+    """Unbounded caches keep no recency; stored rows are immutable tuples."""
+
+    GPU = "k80"
+
+    def _exercise(self, cache):
+        g = make_geometry(n=4)
+        cache.put_benchmark(self.GPU, g, sample_results())
+        cache.put_benchmarks(self.GPU, g, {1: sample_results(),
+                                           2: _ROW_VARIANTS[2]})
+        cache.get_benchmark(self.GPU, g)
+        cache.get_benchmarks(self.GPU, g, [1, 2, 3])
+        key = cache.config_key(self.GPU, g, "all", 1, "wr")
+        cache.put_configuration(key, ConvType.FORWARD, sample_config())
+        cache.get_configuration(key)
+
+    def test_unbounded_cache_keeps_no_recency(self, tmp_path):
+        cache = BenchmarkCache(tmp_path / "bench.json")
+        self._exercise(cache)
+        assert not cache._recency
+        cache.save()
+        cache.load()
+        assert not cache._recency
+        other = BenchmarkCache()
+        assert other.import_payload(cache.export_payload()) == len(cache)
+        assert not other._recency
+        self._exercise(other)
+        assert not other._recency
+
+    def test_bounded_cache_orders_every_entry(self, tmp_path):
+        cache = BenchmarkCache(tmp_path / "bench.json", capacity=10)
+        self._exercise(cache)
+        assert len(cache._recency) == len(cache) == 4
+        cache.save()
+        assert len(BenchmarkCache(tmp_path / "bench.json",
+                                  capacity=10)._recency) == 4
+
+    def test_capacity_is_read_only(self):
+        cache = BenchmarkCache(capacity=3)
+        assert cache.capacity == 3
+        with pytest.raises(AttributeError):
+            cache.capacity = None
+        assert BenchmarkCache().capacity is None
+
+    def test_stored_rows_are_tuples_and_lookups_fresh_lists(self):
+        cache = BenchmarkCache()
+        g = make_geometry()
+        cache.put_benchmark(self.GPU, g, sample_results())
+        assert all(type(rows) is tuple for rows in cache._bench.values())
+        got = cache.get_benchmark(self.GPU, g)
+        assert type(got) is list and got == sample_results()
+        got.clear()
+        assert cache.get_benchmark(self.GPU, g) == sample_results()
+
+    @pytest.mark.parametrize("route", ["load", "import"])
+    def test_identical_put_after_restore_is_silent(self, tmp_path, route):
+        path = tmp_path / "bench.json"
+        g = make_geometry(n=4)
+        source = BenchmarkCache(path)
+        source.put_benchmarks(self.GPU, g, {4: sample_results(),
+                                            2: _ROW_VARIANTS[2]})
+        source.save()
+        if route == "load":
+            cache = BenchmarkCache(path)
+        else:
+            cache = BenchmarkCache()
+            cache.import_payload(source.export_payload())
+        assert all(type(rows) is tuple for rows in cache._bench.values())
+        seen = []
+        cache.add_invalidation_listener(lambda gpu, geo: seen.append(geo.n))
+        cache.put_benchmarks(self.GPU, g, {4: sample_results(),
+                                           2: list(_ROW_VARIANTS[2])})
+        cache.put_benchmark(self.GPU, g, tuple(sample_results()))
+        assert seen == []
+        cache.put_benchmark(self.GPU, g, _ROW_VARIANTS[2])
+        assert seen == [4]
+
+
 class TestKeyTemplate:
     """The batched calls' key template equals the per-geometry key."""
 
@@ -482,7 +560,11 @@ class TestBatchedCallsAgainstRowModel:
                 model.hits, model.misses)
             assert cache._recency.popped == model.evicted
             assert cache.evictions == len(model.evicted)
-            assert [key for _, key in cache._recency] == list(model.recency)
+            if capacity is None:
+                # Nothing can be evicted, so no recency is kept at all.
+                assert not cache._recency
+            else:
+                assert [key for _, key in cache._recency] == list(model.recency)
             assert notified == model.notified
         assert json.dumps(cache.export_payload()).encode() == json.dumps(
             model.payload()).encode()

@@ -25,7 +25,8 @@ from repro.persistence import (
     warm_start,
 )
 from repro.persistence.snapshot import plans_of
-from repro.service import PlanRequest, PlanService, SoakConfig, run_soak
+from repro.service import PlanRequest, PlanService
+from repro.service.soak import SoakConfig, run_soak
 from repro.telemetry.clock import ManualClock
 from repro.telemetry.exporters import prometheus_text
 from repro.units import MIB

@@ -29,11 +29,14 @@ loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(json.dumps(sorted(loaded - set(sys.stdlib_module_names) - {"repro"})))
 """
 
-#: Modules a plain ``serve --listen`` never calls into.
+#: Modules a plain ``serve --listen`` never calls into: the numpy kernels
+#: run only NUMERIC-mode convolutions, and the soak driver (with the table
+#: renderer it prints through) runs only under ``serve --soak``.
 NOT_SERVING = (
     "repro.harness.experiments", "repro.frameworks", "repro.memory",
     "repro.parallel", "repro.observability.report", "repro.wire.admin",
-    "http.server",
+    "http.server", "repro.cudnn.kernels", "repro.service.soak",
+    "repro.harness.tables",
 )
 
 

@@ -1,6 +1,9 @@
 """Tests for the analytic performance model."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +11,8 @@ from hypothesis import given, strategies as st
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.device import K80, P100_SXM2, V100_SXM2
 from repro.cudnn.enums import ConvType, FwdAlgo, algos_for
-from repro.cudnn.perfmodel import PerfModel, family_to_algo
+from repro.cudnn.perfmodel import PerfModel, PerfResult, family_to_algo
+from repro.cudnn.status import Status
 from repro.cudnn.workspace import is_supported
 from repro.errors import NotSupportedError
 from repro.units import MIB
@@ -127,6 +131,48 @@ class TestQueries:
         best = pm.fastest(CONV2)
         fallback = pm.fastest(CONV2, workspace_limit=best.workspace - 1)
         assert fallback.time > best.time
+
+
+class TestPerfResultContract:
+    """A Find row is a small immutable value: slotted, equal and hashed by
+    its fields, and exactly as copyable and picklable as a plain dataclass."""
+
+    ROW = PerfResult(FwdAlgo.FFT, Status.SUCCESS, 0.001, 1024)
+
+    def test_slotted_and_frozen(self):
+        assert not hasattr(self.ROW, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.ROW.time = 0.5
+        with pytest.raises((AttributeError, TypeError)):
+            self.ROW.extra = 1
+
+    def test_equality_hash_and_repr(self):
+        fields = (FwdAlgo.FFT, Status.SUCCESS, 0.001, 1024)
+        assert self.ROW == PerfResult(*fields)
+        assert self.ROW != PerfResult(FwdAlgo.FFT, Status.SUCCESS, 0.001, 1025)
+        assert self.ROW != fields  # a row is not a tuple
+        assert hash(self.ROW) == hash(fields)
+        assert repr(self.ROW) == (
+            "PerfResult(algo=<FwdAlgo.FFT: 4>, status=<Status.SUCCESS: 0>, "
+            "time=0.001, workspace=1024)"
+        )
+        with pytest.raises(TypeError):
+            self.ROW < self.ROW  # noqa: B015 -- rows are unordered
+
+    @pytest.mark.parametrize("clone", [
+        lambda r: pickle.loads(pickle.dumps(r)),
+        copy.copy,
+        copy.deepcopy,
+        lambda r: dataclasses.replace(r),
+    ], ids=["pickle", "copy", "deepcopy", "replace"])
+    def test_round_trips(self, clone):
+        twin = clone(self.ROW)
+        assert type(twin) is PerfResult
+        assert twin == self.ROW and hash(twin) == hash(self.ROW)
+        assert dataclasses.asdict(twin) == {
+            "algo": FwdAlgo.FFT, "status": Status.SUCCESS,
+            "time": 0.001, "workspace": 1024,
+        }
 
 
 @given(n=st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128, 256]))

@@ -29,9 +29,8 @@ from repro.service import (
     PlanRequest,
     PlanService,
     PlanStore,
-    SoakConfig,
-    run_soak,
 )
+from repro.service.soak import SoakConfig, run_soak
 from repro.telemetry.clock import ManualClock
 from repro.units import MIB
 from tests.conftest import make_geometry
