@@ -17,12 +17,7 @@ from repro.cluster.scheduler import (
     estimate_cost,
     place_wave,
 )
-from repro.cluster.service import (
-    ClusterService,
-    ClusterStoreView,
-    ClusterTicket,
-    ClusterWave,
-)
+from repro.cluster.service import ClusterService, ClusterStoreView
 from repro.cluster.shardmap import (
     SHARD_MAP_KIND,
     SHARD_MAP_SCHEMA_VERSION,
@@ -35,8 +30,6 @@ __all__ = [
     "COLD_COST",
     "ClusterService",
     "ClusterStoreView",
-    "ClusterTicket",
-    "ClusterWave",
     "Placement",
     "SHARD_MAP_KIND",
     "SHARD_MAP_SCHEMA_VERSION",

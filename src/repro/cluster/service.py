@@ -33,13 +33,12 @@ the static model declares.
 
 from __future__ import annotations
 
-import dataclasses
+from collections import Counter
 
 import repro.telemetry as telemetry
 from repro.cluster.scheduler import SolveGroup, estimate_cost, place_wave
 from repro.cluster.shardmap import ShardMap
 from repro.core.cache import BenchmarkCache
-from repro.errors import ServiceOverloadedError
 from repro.persistence.snapshot import (
     canonical_gpu,
     plans_of,
@@ -49,23 +48,16 @@ from repro.persistence.snapshot import (
 from repro.persistence.merge import merge_snapshots
 from repro.service.faults import FaultInjector
 from repro.service.introspection import RequestLog
-from repro.service.plan_service import PlanService, PlanTicket, SlowLogFn, SolveFn
+from repro.service.plan_service import (
+    PlanService,
+    PlanTicket,
+    PlanWave,
+    SlowLogFn,
+    SolveFn,
+)
 from repro.service.requests import PlanKey, PlanRequest, PlanResponse, ServiceStats
 from repro.telemetry.clock import Clock
 from repro.telemetry.locks import new_lock
-
-
-@dataclasses.dataclass
-class ClusterTicket:
-    """Handle for one threaded-path request admitted through the router.
-
-    Wraps the owning shard's ticket with the shard's identity, so
-    :meth:`ClusterService.wait` resolves on the shard that admitted it even
-    when the request was pinned away from its hash home.
-    """
-
-    shard: str
-    ticket: PlanTicket
 
 
 class ClusterStoreView:
@@ -176,6 +168,7 @@ class ClusterService:
                 request_log=request_log,
                 slow_request_s=slow_request_s,
                 slow_log=slow_log,
+                shard_id=sid,
             )
         #: Guards the router's counters below -- and nothing else.  Never
         #: held across a shard call (see module docstring).
@@ -216,10 +209,9 @@ class ClusterService:
     @property
     def stats(self) -> ServiceStats:
         """Cluster-wide counters: the field-wise sum over all shards."""
-        totals: dict[str, int] = {}
+        totals: Counter[str] = Counter()
         for shard in self.shards():
-            for name, value in shard.stats.as_dict().items():
-                totals[name] = totals.get(name, 0) + value
+            totals.update(shard.stats.as_dict())
         return ServiceStats(**totals)
 
     @property
@@ -259,44 +251,51 @@ class ClusterService:
 
     # -- threaded path (delegating router) -------------------------------------
 
-    def submit(self, request: PlanRequest) -> ClusterTicket:
+    def submit(self, request: PlanRequest) -> PlanTicket:
         """Admit one request on its owning shard (threaded path; no stealing:
         cross-shard balance is a wave-level decision)."""
         sid = self.route(request)
         ticket = self._shards[sid].submit(request)
         self._count_routed(sid)
-        return ClusterTicket(shard=sid, ticket=ticket)
+        return ticket
 
-    def wait(self, ticket: ClusterTicket) -> PlanResponse:
-        response = self._shards[ticket.shard].wait(ticket.ticket)
-        return dataclasses.replace(response, shard=ticket.shard)
+    def wait(self, ticket: PlanTicket) -> PlanResponse:
+        """Resolve a ticket on the shard that admitted it."""
+        return self._shards[ticket.shard].wait(ticket)
 
     def request(self, request: PlanRequest) -> PlanResponse:
         """Submit and wait on the owning shard: the blocking client call."""
         sid = self.route(request)
         response = self._shards[sid].request(request)
         self._count_routed(sid)
-        return dataclasses.replace(response, shard=sid)
+        return response
 
     # -- wave path -------------------------------------------------------------
 
-    def wave(self) -> "ClusterWave":
-        """One deterministic cluster-wide batch (see :class:`ClusterWave`)."""
-        return ClusterWave(self)
+    def wave(self) -> PlanWave:
+        """One deterministic cluster-wide batch (see
+        :class:`~repro.service.plan_service.PlanWave`)."""
+        return PlanWave(self)
 
-    def _serve_cluster_wave(
-        self,
-        requests: list[PlanRequest],
-        homes: list[str],
-        admitted: "dict[str, int]",
-    ) -> list[PlanResponse]:
+    def admit_wave_request(
+        self, request: PlanRequest, admitted: "dict[str, int]"
+    ) -> None:
+        """Route one wave request and run its home shard's admission control
+        (per-shard backpressure, exactly as N independent services would
+        apply it); a bad routing hint raises ``ClusterError``."""
+        self._shards[self.route(request)].admit_wave_request(request, admitted)
+
+    def serve_wave(self, requests: list[PlanRequest]) -> list[PlanResponse]:
         """Place, steal, and serve one admitted wave; cluster arrival order.
 
         Every admitted request produces exactly one response (the zero-drop
         contract): store hits serve on their home shard, solve groups serve
         wherever :func:`~repro.cluster.scheduler.place_wave` put them, and
-        responses are stamped with the serving shard's id.
+        the serving shard (the thief, for a stolen group) stamps its id on
+        each response.
         """
+        homes = [self.route(request) for request in requests]
+        admitted = Counter(homes)
         groups: dict[tuple[str, PlanKey], SolveGroup] = {}
         groups_by_shard: dict[str, list[SolveGroup]] = {}
         cached_home: dict[str, list[int]] = {}
@@ -336,7 +335,7 @@ class ClusterService:
             batch = [requests[index] for index in order]
             served = shard.serve_wave(batch)
             for index, response in zip(order, served):
-                responses[index] = dataclasses.replace(response, shard=sid)
+                responses[index] = response
         # A stolen solve landed in the thief's store; copy the fresh plan
         # back to the home shard so the key's *next* wave hits at home.
         for key, victim, thief in placement.steals:
@@ -382,14 +381,11 @@ class ClusterService:
                 self._queue_depth[sid] = len(groups_by_shard.get(sid, []))
         if not telemetry.enabled():
             return
-        counts = dict(admitted)
-        stolen: dict[str, int] = {}
-        for _key, _victim, thief in steals:
-            stolen[thief] = stolen.get(thief, 0) + 1
+        stolen = Counter(thief for _key, _victim, thief in steals)
         for sid in self.shard_ids:
             shard = self._shards[sid]
             self._publish(sid, "cluster.shard.routed",
-                          float(counts.get(sid, 0)),
+                          float(admitted.get(sid, 0)),
                           help="requests routed to this shard", delta=False)
             self._publish(sid, "cluster.shard.steals",
                           float(stolen.get(sid, 0)),
@@ -538,49 +534,7 @@ class ClusterService:
         return restored
 
 
-class ClusterWave:  # reprolint: disable=THR001 -- a wave is thread-confined: built and served by the one client thread that created it
-    """One deterministic batch of requests across every shard.
-
-    The cluster twin of :class:`~repro.service.plan_service.PlanWave`:
-    :meth:`add` routes each request to its home shard and runs *that
-    shard's* admission control (so backpressure is per-shard, exactly as N
-    independent services would apply it), and :meth:`serve` places, steals,
-    and serves the whole batch in one deterministic pass.
-    """
-
-    def __init__(self, cluster: ClusterService) -> None:
-        self._cluster = cluster
-        self._requests: list[PlanRequest] = []
-        self._homes: list[str] = []
-        self._admitted: dict[str, int] = {}
-        self._done = False
-
-    def add(self, request: PlanRequest) -> None:
-        """Route and admit one request (may raise ``ClusterError`` on a bad
-        hint, or ``ServiceOverloadedError`` from the home shard)."""
-        sid = self._cluster.route(request)
-        pending = self._admitted.get(sid, 0)
-        self._cluster._shards[sid].admit_wave_request(pending)
-        self._requests.append(request)
-        self._homes.append(sid)
-        self._admitted[sid] = pending + 1
-
-    def __len__(self) -> int:
-        return len(self._requests)
-
-    def serve(self) -> list[PlanResponse]:
-        """Serve every admitted request; one call per wave."""
-        if self._done:
-            raise ServiceOverloadedError("wave already served")
-        self._done = True
-        return self._cluster._serve_cluster_wave(
-            self._requests, self._homes, self._admitted
-        )
-
-
 __all__ = [
     "ClusterService",
     "ClusterStoreView",
-    "ClusterTicket",
-    "ClusterWave",
 ]

@@ -9,13 +9,13 @@ This module puts a *service* in front of the solver stack so concurrent
 clients get:
 
 * **request coalescing** -- concurrent requests for the same
-  :class:`~repro.service.requests.PlanKey` share one in-flight solve via a
-  future; N identical questions cost one solver invocation;
+  :class:`~repro.service.requests.PlanKey` share one solve; N identical
+  questions cost one solver invocation;
 * a **bounded plan store** -- an LRU+TTL cache of served plans
   (:class:`~repro.service.store.PlanStore`) with hit/miss/eviction counters;
 * **admission control** -- a queue-depth limit past which submission raises
   :class:`~repro.errors.ServiceOverloadedError` *immediately* (backpressure,
-  not unbounded queueing);
+  not unbounded queueing), as does any submission to a closed service;
 * **graceful degradation** -- a per-request deadline past which the caller
   receives the ``undivided`` (plain-cuDNN) configuration instead of blocking
   on a stalled solve, and the same fallback when the solver faults;
@@ -23,19 +23,30 @@ clients get:
   :class:`~repro.service.faults.FaultInjector` so every degradation rung is
   testable and soak-testable.
 
-The degradation ladder, best rung first::
+Every request runs one pipeline of stages, one method each::
 
-    plan store hit  ->  coalesce onto in-flight solve  ->  fresh solve
-        ->  (timeout / solver fault)  undivided fallback
-        ->  (fallback disabled or infeasible)  DeadlineExceededError
+    admit (_admit)  ->  store lookup  ->  coalesce  ->  solve (_solve)
+        ->  fallback (_fallback)  ->  record (_served)
 
-Two front-ends share all of the machinery above:
+The degradation ladder, best rung first: plan store hit, coalesce onto a
+shared solve, fresh solve, undivided fallback on a timeout or solver fault,
+and :class:`~repro.errors.DeadlineExceededError` (or, for a solver fault
+with fallbacks disabled, :class:`~repro.errors.SolverError`) last.
 
-* the **threaded** path (:meth:`PlanService.submit` / :meth:`request`): a
-  real worker pool; used by concurrent in-process clients;
-* the **wave** path (:meth:`PlanService.wave`): deterministic batch serving
-  of simultaneously-arriving requests on the simulated clock, used by the
-  soak driver (:mod:`repro.service.soak`) for byte-reproducible load tests.
+Two front-ends drive the same stages; only coalescing and time differ:
+
+* the **threaded** path (:meth:`PlanService.submit` / :meth:`wait` /
+  :meth:`request`) coalesces onto an in-flight future, runs one worker-pool
+  job per fresh key, stalls in real time and bounds the wait with
+  ``future.result(timeout)``;
+* the **wave** path (:meth:`PlanService.wave`, :class:`PlanWave`) serves a
+  batch of simultaneously-arriving requests deterministically: it
+  coalesces by grouping the batch by key and advances a
+  :class:`~repro.telemetry.clock.ManualClock` by each solve's simulated
+  duration.  The soak driver (:mod:`repro.service.soak`) uses it for
+  byte-reproducible load tests, and a
+  :class:`~repro.cluster.ClusterService` serves its per-shard batches
+  through it.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import repro.observability as observability
 import repro.telemetry as telemetry
@@ -66,12 +77,15 @@ from repro.errors import (
     ServiceOverloadedError,
     SolverError,
 )
-from repro.service.faults import ACTION_FAIL, ACTION_STALL, FaultInjector
+from repro.service.faults import ACTION_FAIL, ACTION_OK, ACTION_STALL, FaultInjector
 from repro.service.introspection import RequestLog
 from repro.service.requests import PlanKey, PlanRequest, PlanResponse, ServiceStats
 from repro.service.store import PlanStore
 from repro.telemetry.clock import Clock, WallClock
 from repro.telemetry.locks import new_lock
+
+if TYPE_CHECKING:
+    from repro.cluster.service import ClusterService
 
 #: A solver: request in, ``(configuration, simulated solve seconds)`` out.
 SolveFn = Callable[[PlanRequest], "tuple[Configuration, float]"]
@@ -84,13 +98,14 @@ SlowLogFn = Callable[[str], None]
 class PlanTicket:
     """Handle for one admitted request (returned by :meth:`PlanService.submit`).
 
-    ``response`` is pre-filled for plan-store hits; otherwise ``future``
-    resolves to ``(configuration, solve_seconds, solve_started_at)`` --
-    the third element is the service-clock instant the solver actually
-    started, which is what turns into the ``queue`` stage of the request's
-    latency breakdown -- and ``source`` records whether this ticket
-    initiated the solve (``fresh``) or attached to one (``coalesced``).
-    Every ticket must be passed to :meth:`PlanService.wait` exactly once.
+    ``cached`` holds the plan of a store hit; otherwise ``future`` resolves
+    to ``(configuration, solve_seconds, solve_started_at)`` -- the third
+    element is the service-clock instant the solver actually started, which
+    is what turns into the ``queue`` stage of the request's latency
+    breakdown -- and ``source`` records whether this ticket initiated the
+    solve (``fresh``) or attached to one (``coalesced``).  ``shard`` is the
+    admitting service's shard id.  Every ticket must be passed to
+    :meth:`PlanService.wait` exactly once.
     """
 
     request: PlanRequest
@@ -98,7 +113,8 @@ class PlanTicket:
     source: str
     submitted_at: float
     future: "Future[tuple[Configuration, float, float]] | None" = None
-    response: PlanResponse | None = None
+    cached: Configuration | None = None
+    shard: str = ""
 
 
 class PlanService:
@@ -149,6 +165,9 @@ class PlanService:
         default benchmarks under the request's policy and runs the WR DP,
         serialized on one internal lock -- the simulated device is a single
         resource, which is exactly why a service layer must exist above it.
+    shard_id:
+        The id a :class:`~repro.cluster.ClusterService` gives this shard;
+        stamped on every response and ticket (``""`` for a lone service).
     """
 
     def __init__(
@@ -168,12 +187,14 @@ class PlanService:
         request_log: RequestLog | None = None,
         slow_request_s: float | None = None,
         slow_log: SlowLogFn | None = None,
+        shard_id: str = "",
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.gpu_name = gpu
+        self.shard_id = shard_id
         self.max_pending = max_pending
         self.fallback_enabled = fallback
         self.clock: Clock = clock if clock is not None else WallClock()
@@ -206,10 +227,10 @@ class PlanService:
         self._inflight: dict[
             PlanKey, Future[tuple[Configuration, float, float]]
         ] = {}
-        #: Trace ids of requests that coalesced onto each in-flight solve;
-        #: drained when the solve finishes and attached to its span as links
-        #: (only populated while telemetry is enabled and requests are
-        #: traced, so the untraced path never touches it).
+        #: Trace ids of requests that coalesced onto each solve; drained by
+        #: the solve stage and attached to its span as links (only
+        #: populated while telemetry is enabled and requests are traced, so
+        #: the untraced path never touches it).
         self._coalesced_traces: dict[PlanKey, list[str]] = {}
         self._pending = 0
         self._closed = False
@@ -242,7 +263,48 @@ class PlanService:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- solver rungs ----------------------------------------------------------
+    # -- stages ----------------------------------------------------------------
+
+    def _admit(self, pending: int) -> None:
+        """Admission stage (caller holds ``_lock``): refuse or count.
+
+        ``pending`` is how many requests already hold a queue slot (a
+        threaded store hit needs none and passes 0).  A closed service and
+        a full queue both raise
+        :class:`~repro.errors.ServiceOverloadedError`; only the latter
+        counts as ``overloaded``.
+        """
+        if self._closed:
+            raise ServiceOverloadedError("plan service is closed")
+        if pending >= self.max_pending:
+            self.stats.overloaded += 1
+            if telemetry.enabled():
+                telemetry.count("service.overloaded",
+                                help="submissions refused by admission "
+                                     "control")
+            raise ServiceOverloadedError(
+                f"plan service at admission limit "
+                f"({pending}/{self.max_pending} pending)"
+            )
+        self.stats.requests += 1
+        if telemetry.enabled():
+            telemetry.count("service.requests", help="requests admitted")
+
+    def _account(self, source: str) -> None:
+        """Count one admitted request by the source that will serve it.
+
+        Called with ``_lock`` held once the store lookup and coalescing
+        have decided ``source`` (``cached``, ``fresh`` or ``coalesced``).
+        """
+        if source == "cached":
+            self.stats.cache_hits += 1
+        elif source == "fresh":
+            self.stats.fresh += 1
+        else:
+            self.stats.coalesced += 1
+        if telemetry.enabled():
+            telemetry.count(f"service.admitted.{source}",
+                            help="admissions by initial serving source")
 
     def _default_solve(self, request: PlanRequest) -> tuple[Configuration, float]:
         """Benchmark + WR-optimize one kernel (the exact answer)."""
@@ -255,29 +317,6 @@ class PlanService:
                 bench, request.workspace_limit, kernel=request.kernel
             )
         return config, bench.benchmark_time
-
-    def _fallback_solve(
-        self, request: PlanRequest
-    ) -> tuple[Configuration, float] | None:
-        """The ``undivided`` (plain-cuDNN) plan under the request's limit.
-
-        ``None`` when no algorithm fits the limit even undivided -- the one
-        case degradation cannot cover.
-        """
-        with self._solver_lock:
-            bench = benchmark_kernel(
-                self._handle, request.geometry, BatchSizePolicy.UNDIVIDED,
-                cache=self._bench_cache,
-            )
-        micro = bench.fastest_micro(request.geometry.n, request.workspace_limit)
-        if micro is None:
-            return None
-        with self._lock:
-            self.stats.fallback_solves += 1
-        if telemetry.enabled():
-            telemetry.count("service.fallback_solves",
-                            help="undivided fallback plans computed")
-        return Configuration((micro,)), bench.benchmark_time
 
     def _trace_span(self, span: object, request: PlanRequest) -> None:
         """Stamp a live span with the request's distributed-trace identity.
@@ -294,34 +333,33 @@ class PlanService:
         if request.parent_span_id:
             span.parent_span_id = request.parent_span_id  # type: ignore[attr-defined]
 
-    def _execute(
-        self, request: PlanRequest, key: PlanKey
+    def _solve(
+        self, request: PlanRequest, key: PlanKey, simulated: bool
     ) -> tuple[Configuration, float, float]:
-        """One solver invocation: fault gate, solve, store the plan.
+        """Solve stage: fault gate, one solver invocation, store the plan.
 
-        Runs on a worker thread in the threaded path and inline in the wave
-        path.  Raises :class:`~repro.errors.SolverError` on an injected
-        failure; an injected stall sleeps (real seconds) here -- the wave
-        path handles stalls in simulated time instead and never calls this
-        with a stalling action pending.
+        Raises :class:`~repro.errors.SolverError` on an injected failure.
+        An injected stall is time, the one thing the front-ends keep apart:
+        the threaded path (``simulated=False``) sleeps it in real seconds,
+        which is what per-request deadlines bound; the wave path advances
+        the service clock by the solve's simulated duration instead.
 
         The family invalidation epoch is snapshotted before the solve and
         re-checked before storing: a benchmark refresh that lands mid-solve
         means the answer was computed from superseded rows, so it is
-        returned to the waiting client (still the best answer it can get
-        without re-queueing) but never cached.
+        returned to the waiting clients (still the best answer they can get
+        without re-queueing) but never cached.  Requests that coalesced onto
+        this solve are linked from its span.
 
-        Returns ``(configuration, solve_seconds, started_at)``; the last is
-        the service-clock instant this call began, which the waiter turns
-        into the request's ``queue`` stage.
+        Returns ``(configuration, solve_seconds, duration)``; ``duration``
+        is the simulated solve time plus any injected stall.
         """
-        started_at = self.clock.now()
         with telemetry.span("service.solve", key=str(key)) as sspan:
             traced = telemetry.enabled()
             if traced:
                 self._trace_span(sspan, request)
             action = (self.faults.next_action()
-                      if self.faults is not None else "ok")
+                      if self.faults is not None else ACTION_OK)
             family = geometry_family(key.kernel)
             with self._lock:
                 self.stats.solver_invocations += 1
@@ -332,212 +370,98 @@ class PlanService:
                                      "these)")
             if action == ACTION_FAIL:
                 raise SolverError(f"injected solver failure for {key}")
+            stall_s = 0.0
             if action == ACTION_STALL and self.faults is not None:
-                # Real stall: the solve takes stall_s longer than normal,
-                # which is what per-request deadlines exist to bound.
-                threading.Event().wait(self.faults.stall_s)
+                stall_s = self.faults.stall_s
+                if not simulated:
+                    threading.Event().wait(stall_s)
             configuration, solve_seconds = self._solve_fn(request)
+            duration = solve_seconds + stall_s
+            if simulated:
+                self._advance(duration)
             with self._lock:
                 stale = self._invalidation_epochs.get(family, 0) != epoch
                 joined = (self._coalesced_traces.pop(key, [])
                           if traced else [])
-            if traced:
-                # Every requester that coalesced onto this solve is linked
-                # from the solve span, so one exported trace shows who
-                # shared the work (late joiners cannot exist: coalescing
-                # requires the in-flight future, which is gone by now).
-                for trace_id in joined:
-                    sspan.links.append({"trace_id": trace_id})  # type: ignore[attr-defined]
-            if stale:
-                if traced:
-                    telemetry.count(
-                        "service.stale_plans_dropped",
-                        help="solved plans not stored because their "
-                             "benchmark rows were refreshed mid-solve")
-            else:
+            for trace_id in joined:
+                sspan.links.append({"trace_id": trace_id})  # type: ignore[attr-defined]
+            if not stale:
                 self.store.put(key, configuration)
-        return configuration, solve_seconds, started_at
+            elif traced:
+                telemetry.count(
+                    "service.stale_plans_dropped",
+                    help="solved plans not stored because their "
+                         "benchmark rows were refreshed mid-solve")
+        return configuration, solve_seconds, duration
 
-    # -- threaded path ---------------------------------------------------------
+    def _retire(self, key: PlanKey) -> None:
+        """Forget a finished solve: its in-flight future and leftover links.
 
-    def submit(self, request: PlanRequest) -> PlanTicket:
-        """Admit one request: store hit, coalesce, or start a fresh solve.
-
-        Raises :class:`~repro.errors.ServiceOverloadedError` when
-        ``max_pending`` requests are already outstanding.  The returned
-        ticket must be passed to :meth:`wait` exactly once (use
-        :meth:`request` for the submit+wait round trip).
+        Joiners that slipped in between the solve's link drain and this
+        removal lose their link (they still get the result); dropping the
+        leftovers keeps them off the *next* solve's span.
         """
-        key = request.key(self.gpu_name)
-        now = self.clock.now()
-        cached = self.store.get(key)
-        with self._lock:
-            if self._closed:
-                raise ServiceOverloadedError("plan service is closed")
-            self._kernel_geometries[key.kernel] = request.geometry
-            if cached is not None:
-                self.stats.requests += 1
-                self.stats.cache_hits += 1
-                ticket = PlanTicket(
-                    request=request, key=key, source="cached", submitted_at=now,
-                    response=PlanResponse(
-                        kernel=request.kernel, key=key, configuration=cached,
-                        source="cached", client=request.client,
-                    ),
-                )
-                self._count_admission("cached")
-                return ticket
-            if self._pending >= self.max_pending:
-                self.stats.overloaded += 1
-                self._count_overload()
-                raise ServiceOverloadedError(
-                    f"plan service at admission limit "
-                    f"({self._pending}/{self.max_pending} pending)"
-                )
-            self.stats.requests += 1
-            self._pending += 1
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                self.stats.coalesced += 1
-                if request.trace_id and telemetry.enabled():
-                    self._coalesced_traces.setdefault(key, []).append(
-                        request.trace_id
-                    )
-                self._count_admission("coalesced")
-                return PlanTicket(request=request, key=key, source="coalesced",
-                                  submitted_at=now, future=inflight)
-            future: Future[tuple[Configuration, float, float]] = Future()
-            self._inflight[key] = future
-            self.stats.fresh += 1
-            self._count_admission("fresh")
-        self._executor.submit(self._run, request, key, future)
-        return PlanTicket(request=request, key=key, source="fresh",
-                          submitted_at=now, future=future)
-
-    def _run(
-        self,
-        request: PlanRequest,
-        key: PlanKey,
-        future: "Future[tuple[Configuration, float, float]]",
-    ) -> None:
-        """Worker body: execute the solve and publish its outcome."""
-        try:
-            outcome = self._execute(request, key)
-        except BaseException as exc:  # reprolint: disable=ERR001 -- thread boundary: the exception is re-raised to every waiter via the future
-            with self._lock:
-                self._inflight.pop(key, None)
-                self._coalesced_traces.pop(key, None)
-            future.set_exception(exc)
-            return
         with self._lock:
             self._inflight.pop(key, None)
-            # Joiners that slipped in between the solve's link drain and
-            # this removal lose their link (they still get the result);
-            # dropping the leftovers keeps them off the *next* solve's span.
             self._coalesced_traces.pop(key, None)
-        future.set_result(outcome)
 
-    def wait(self, ticket: PlanTicket) -> PlanResponse:
-        """Resolve a ticket: exact plan, or walk the degradation ladder."""
-        if ticket.response is not None:
-            # Store hit: re-route through _served so cache hits land in the
-            # request ring and latency histogram like every other outcome.
-            return self._served(
-                ticket, ticket.response.configuration, ticket.source, 0.0,
-                max(0.0, self.clock.now() - ticket.submitted_at),
-            )
-        assert ticket.future is not None
-        request = ticket.request
-        try:
-            configuration, solve_seconds, started_at = ticket.future.result(
-                timeout=request.deadline_s
-            )
-        except FutureTimeoutError:
-            return self._degrade(ticket, "timeout")
-        except SolverError:
-            return self._degrade(ticket, "solver_error")
-        finally:
-            with self._lock:
-                self._pending -= 1
-        now = self.clock.now()
-        latency = now - ticket.submitted_at
-        stages = {
-            "queue": max(0.0, started_at - ticket.submitted_at),
-            "solve": max(0.0, now - started_at),
-        }
-        return self._served(ticket, configuration, ticket.source,
-                            solve_seconds, latency, stages=stages)
+    def _fallback(
+        self, ticket: PlanTicket, reason: str
+    ) -> tuple[Configuration, float]:
+        """Fallback stage: the ``undivided`` plan, or the terminal error.
 
-    def request(self, request: PlanRequest) -> PlanResponse:
-        """Submit and wait: the blocking client call.
-
-        A traced request (non-empty ``trace_id``) continues the caller's
-        distributed trace: the ``service.request`` span adopts the incoming
-        trace context, and its span id becomes the parent of the solve span
-        (plumbed through the request object so worker threads see it).
+        ``reason`` is ``"timeout"`` or ``"solver_error"``.  Returns the
+        plain-cuDNN configuration under the request's limit and its
+        benchmark seconds.  With fallbacks disabled a timeout raises
+        :class:`~repro.errors.DeadlineExceededError` and a solver fault
+        :class:`~repro.errors.SolverError`; an undivided plan that does not
+        fit the limit raises :class:`~repro.errors.DeadlineExceededError`.
+        A raising request leaves an ``error:<reason>`` ring record.
         """
-        with telemetry.span(
-            "service.request", kernel=request.kernel,
-            policy=request.policy.value,
-            workspace_limit=request.workspace_limit,
-        ) as tspan:
-            if telemetry.enabled() and request.trace_id:
-                self._trace_span(tspan, request)
-                request = dataclasses.replace(
-                    request, parent_span_id=tspan.span_id  # type: ignore[attr-defined]
-                )
-            response = self.wait(self.submit(request))
-            tspan.set("source", response.source)
-        return response
-
-    def _degrade(self, ticket: PlanTicket, reason: str) -> PlanResponse:
-        """Timeout/fault rung: serve the undivided plan or raise."""
         request = ticket.request
         if telemetry.enabled():
             telemetry.count(f"service.degraded.{reason}",
                             help="requests degraded past the exact solve")
-        if not self.fallback_enabled:
-            with self._lock:
-                self.stats.deadline_errors += 1
-            self._record_error(ticket, reason)
-            if reason == "timeout":
-                raise DeadlineExceededError(
-                    f"plan for {ticket.key} missed its "
-                    f"{request.deadline_s} s deadline (fallback disabled)"
+        error: Exception
+        if self.fallback_enabled:
+            with self._solver_lock:
+                bench = benchmark_kernel(
+                    self._handle, request.geometry, BatchSizePolicy.UNDIVIDED,
+                    cache=self._bench_cache,
                 )
-            raise SolverError(
-                f"solver failed for {ticket.key} (fallback disabled)"
-            )
-        fallback = self._fallback_solve(request)
-        if fallback is None:
-            with self._lock:
-                self.stats.deadline_errors += 1
-            self._record_error(ticket, reason)
-            raise DeadlineExceededError(
+            micro = bench.fastest_micro(request.geometry.n,
+                                        request.workspace_limit)
+            if micro is not None:
+                with self._lock:
+                    self.stats.fallback_solves += 1
+                if telemetry.enabled():
+                    telemetry.count("service.fallback_solves",
+                                    help="undivided fallback plans computed")
+                return Configuration((micro,)), bench.benchmark_time
+            error = DeadlineExceededError(
                 f"plan for {ticket.key} degraded on {reason} and the "
                 f"undivided fallback does not fit "
                 f"{request.workspace_limit} B"
             )
-        configuration, solve_seconds = fallback
+        elif reason == "timeout":
+            error = DeadlineExceededError(
+                f"plan for {ticket.key} missed its {request.deadline_s} s "
+                f"deadline (fallback disabled)"
+            )
+        else:
+            error = SolverError(
+                f"solver failed for {ticket.key} (fallback disabled)"
+            )
         with self._lock:
-            if reason == "timeout":
-                self.stats.fallbacks_timeout += 1
-            else:
-                self.stats.fallbacks_error += 1
-        latency = self.clock.now() - ticket.submitted_at
-        return self._served(ticket, configuration, "fallback", solve_seconds,
-                            latency, fallback_reason=reason)
-
-    def _record_error(self, ticket: PlanTicket, reason: str) -> None:
-        """Ring-record a request that is about to raise (terminal rung)."""
-        if self.request_log is None:
-            return
-        self.request_log.record(
-            trace_id=ticket.request.trace_id, key=str(ticket.key),
-            client=ticket.request.client, source=ticket.source,
-            outcome=f"error:{reason}",
-            latency_s=self.clock.now() - ticket.submitted_at,
-        )
+            self.stats.deadline_errors += 1
+        if self.request_log is not None:
+            self.request_log.record(
+                trace_id=request.trace_id, key=str(ticket.key),
+                client=request.client, source=ticket.source,
+                outcome=f"error:{reason}",
+                latency_s=self.clock.now() - ticket.submitted_at,
+            )
+        raise error
 
     def _served(
         self,
@@ -549,18 +473,27 @@ class PlanService:
         fallback_reason: str = "",
         stages: "dict[str, float] | None" = None,
     ) -> PlanResponse:
-        """Build the response and record its provenance.
+        """Record stage: build the response and record its provenance.
 
         ``stages`` is the queue/solve latency breakdown (the wire server
         later amends ``serialize`` onto the same ring record); store hits
-        pass ``None`` -- they queued for nothing and solved nothing.
+        and threaded fallbacks pass ``None``.  A latency past
+        ``slow_request_s`` emits one structured line carrying the trace id
+        and a ready-to-run ``explain`` command for the kernel.
         """
         request = ticket.request
+        if fallback_reason:
+            with self._lock:
+                if fallback_reason == "timeout":
+                    self.stats.fallbacks_timeout += 1
+                else:
+                    self.stats.fallbacks_error += 1
         response = PlanResponse(
             kernel=request.kernel, key=ticket.key,
             configuration=configuration, source=source,
             solve_seconds=solve_seconds, latency_s=latency,
             fallback_reason=fallback_reason, client=request.client,
+            shard=self.shard_id,
         )
         if self.request_log is not None:
             self.request_log.record(
@@ -584,7 +517,19 @@ class PlanService:
                 )
         if (self._slow_request_s is not None
                 and latency > self._slow_request_s):
-            self._log_slow(ticket, response, stages)
+            self._slow_log(json.dumps({
+                "deadline_s": request.deadline_s,
+                "event": "slow_request",
+                "explain": (f"python -m repro.harness.runner explain "
+                            f"--explain-kernel {request.kernel}"),
+                "key": str(ticket.key),
+                "kernel": request.kernel,
+                "latency_s": latency,
+                "source": source,
+                "stages": dict(stages or {}),
+                "threshold_s": self._slow_request_s,
+                "trace_id": request.trace_id,
+            }, sort_keys=True, separators=(",", ":")))
         rec = observability.recorder()
         if rec:
             rec.record(
@@ -596,33 +541,120 @@ class PlanService:
             )
         return response
 
-    def _log_slow(
-        self,
-        ticket: PlanTicket,
-        response: PlanResponse,
-        stages: "dict[str, float] | None",
-    ) -> None:
-        """Emit one structured slow-request line to the configured sink.
+    # -- threaded path ---------------------------------------------------------
 
-        The line carries the trace id (grep it in the Chrome trace or
-        ``/requestz``) and a ready-to-run ``explain`` command for the
-        kernel, so a slow request points straight at its diagnosis.
+    def submit(self, request: PlanRequest) -> PlanTicket:
+        """Admit one request: store hit, coalesce, or start a fresh solve.
+
+        Raises :class:`~repro.errors.ServiceOverloadedError` when the
+        service is closed, or when a request that misses the store finds
+        ``max_pending`` requests already outstanding.  The returned ticket
+        must be passed to :meth:`wait` exactly once (use :meth:`request`
+        for the submit+wait round trip).
         """
-        request = ticket.request
-        line = json.dumps({
-            "deadline_s": request.deadline_s,
-            "event": "slow_request",
-            "explain": (f"python -m repro.harness.runner explain "
-                        f"--explain-kernel {request.kernel}"),
-            "key": str(ticket.key),
-            "kernel": request.kernel,
-            "latency_s": response.latency_s,
-            "source": response.source,
-            "stages": dict(stages or {}),
-            "threshold_s": self._slow_request_s,
-            "trace_id": request.trace_id,
-        }, sort_keys=True, separators=(",", ":"))
-        self._slow_log(line)
+        key = request.key(self.gpu_name)
+        now = self.clock.now()
+        cached = self.store.get(key)
+        with self._lock:
+            self._kernel_geometries[key.kernel] = request.geometry
+            if cached is not None:
+                self._admit(0)
+                self._account("cached")
+                return PlanTicket(request, key, "cached", now, cached=cached,
+                                  shard=self.shard_id)
+            self._admit(self._pending)
+            self._pending += 1
+            future = self._inflight.get(key)
+            if future is not None:
+                self._account("coalesced")
+                if request.trace_id and telemetry.enabled():
+                    self._coalesced_traces.setdefault(key, []).append(
+                        request.trace_id
+                    )
+                return PlanTicket(request, key, "coalesced", now,
+                                  future=future, shard=self.shard_id)
+            future = Future()
+            self._inflight[key] = future
+            self._account("fresh")
+        self._executor.submit(self._run, request, key, future)
+        return PlanTicket(request, key, "fresh", now, future=future,
+                          shard=self.shard_id)
+
+    def _run(
+        self,
+        request: PlanRequest,
+        key: PlanKey,
+        future: "Future[tuple[Configuration, float, float]]",
+    ) -> None:
+        """Worker body: run the solve stage and publish its outcome."""
+        started_at = self.clock.now()
+        try:
+            configuration, solve_seconds, _ = self._solve(
+                request, key, simulated=False
+            )
+        except BaseException as exc:  # reprolint: disable=ERR001 -- thread boundary: the exception is re-raised to every waiter via the future
+            self._retire(key)
+            future.set_exception(exc)
+            return
+        self._retire(key)
+        future.set_result((configuration, solve_seconds, started_at))
+
+    def wait(self, ticket: PlanTicket) -> PlanResponse:
+        """Resolve a ticket: exact plan, or walk the degradation ladder."""
+        if ticket.cached is not None:
+            return self._served(
+                ticket, ticket.cached, "cached", 0.0,
+                max(0.0, self.clock.now() - ticket.submitted_at),
+            )
+        assert ticket.future is not None
+        try:
+            configuration, solve_seconds, started_at = ticket.future.result(
+                timeout=ticket.request.deadline_s
+            )
+            reason = ""
+        except FutureTimeoutError:
+            reason = "timeout"
+        except SolverError:
+            reason = "solver_error"
+        finally:
+            with self._lock:
+                self._pending -= 1
+        if reason:
+            configuration, solve_seconds = self._fallback(ticket, reason)
+            return self._served(
+                ticket, configuration, "fallback", solve_seconds,
+                self.clock.now() - ticket.submitted_at, fallback_reason=reason,
+            )
+        now = self.clock.now()
+        stages = {
+            "queue": max(0.0, started_at - ticket.submitted_at),
+            "solve": max(0.0, now - started_at),
+        }
+        return self._served(ticket, configuration, ticket.source,
+                            solve_seconds, now - ticket.submitted_at,
+                            stages=stages)
+
+    def request(self, request: PlanRequest) -> PlanResponse:
+        """Submit and wait: the blocking client call.
+
+        A traced request (non-empty ``trace_id``) continues the caller's
+        distributed trace: the ``service.request`` span adopts the incoming
+        trace context, and its span id becomes the parent of the solve span
+        (plumbed through the request object so worker threads see it).
+        """
+        with telemetry.span(
+            "service.request", kernel=request.kernel,
+            policy=request.policy.value,
+            workspace_limit=request.workspace_limit,
+        ) as tspan:
+            if telemetry.enabled() and request.trace_id:
+                self._trace_span(tspan, request)
+                request = dataclasses.replace(
+                    request, parent_span_id=tspan.span_id  # type: ignore[attr-defined]
+                )
+            response = self.wait(self.submit(request))
+            tspan.set("source", response.source)
+        return response
 
     # -- wave path (deterministic batch serving) -------------------------------
 
@@ -630,179 +662,111 @@ class PlanService:
         """A batch of simultaneously-arriving requests (see :class:`PlanWave`)."""
         return PlanWave(self)
 
-    def admit_wave_request(self, pending: int) -> None:
-        """Admit one wave-front-end request or refuse it.
+    def admit_wave_request(
+        self, request: PlanRequest, admitted: "dict[str, int]"
+    ) -> None:
+        """Admit one request into a wave, or refuse it.
 
-        ``pending`` is the number of requests the front-end (a
-        :class:`PlanWave`, or the cluster router batching for this shard)
-        has already admitted toward this service in the current wave;
-        at ``max_pending`` the submission is refused with
-        :class:`~repro.errors.ServiceOverloadedError` and counted, exactly
-        like the threaded path's backpressure.
+        ``admitted`` counts the wave's admitted requests per shard id; this
+        service's own count is its queue depth for the admission stage, and
+        grows by one on success.  (``request`` is what a cluster routes by;
+        a lone service is every request's home.)
         """
+        del request
+        pending = admitted.get(self.shard_id, 0)
         with self._lock:
-            if pending >= self.max_pending:
-                self.stats.overloaded += 1
-                self._count_overload()
-                raise ServiceOverloadedError(
-                    f"wave at admission limit ({pending}/{self.max_pending})"
-                )
-            self.stats.requests += 1
-            if telemetry.enabled():
-                telemetry.count("service.requests", help="requests admitted")
+            self._admit(pending)
+        admitted[self.shard_id] = pending + 1
 
     def serve_wave(self, requests: list[PlanRequest]) -> list[PlanResponse]:
-        """Serve one batch of pre-admitted requests deterministically.
+        """Serve one batch of admitted requests deterministically.
 
-        The public entry behind :meth:`PlanWave.serve` (and the cluster's
-        per-shard serving): every request must have been admitted through
-        :meth:`admit_wave_request` first.  Responses come back in arrival
-        order.
-        """
-        with telemetry.span("service.wave", requests=len(requests)):
-            return self._serve_wave(requests)
-
-    def _serve_wave(self, requests: list[PlanRequest]) -> list[PlanResponse]:
-        """Serve one admitted wave deterministically on the service clock.
-
-        Requests are processed in arrival order; within the wave, requests
+        Requests are served in arrival order; within the batch, requests
         sharing a key coalesce onto the first one's solve.  Solve durations
         (simulated benchmark seconds, plus injected stalls) advance the
-        clock and become the waiters' latencies; a duration past a request's
-        deadline degrades exactly that request to the undivided fallback.
+        clock and become the waiters' latencies; a duration past a
+        request's deadline degrades exactly that request to the undivided
+        fallback, which is computed once per key and advances the clock
+        too.  Clock time accrued serving *earlier* keys is a key's queue
+        stage.  Responses come back in arrival order.
         """
-        responses: list[PlanResponse | None] = [None] * len(requests)
-        groups: dict[PlanKey, list[int]] = {}
-        wave_start = self.clock.now()
+        with telemetry.span("service.wave", requests=len(requests)):
+            responses: list[PlanResponse | None] = [None] * len(requests)
+            groups: dict[PlanKey, list[int]] = {}
+            wave_start = self.clock.now()
+            for index, request in enumerate(requests):
+                key = request.key(self.gpu_name)
+                cached = self.store.get(key)
+                if cached is not None and key not in groups:
+                    with self._lock:
+                        self._kernel_geometries[key.kernel] = request.geometry
+                        self._account("cached")
+                    ticket = PlanTicket(request, key, "cached",
+                                        self.clock.now())
+                    responses[index] = self._served(ticket, cached, "cached",
+                                                    0.0, 0.0)
+                else:
+                    groups.setdefault(key, []).append(index)
+            for key, indices in groups.items():
+                self._serve_group(requests, key, indices, responses,
+                                  queue_s=max(0.0,
+                                              self.clock.now() - wave_start))
+        return [response for response in responses if response is not None]
+
+    def _serve_group(
+        self,
+        requests: list[PlanRequest],
+        key: PlanKey,
+        indices: list[int],
+        responses: list[PlanResponse | None],
+        queue_s: float,
+    ) -> None:
+        """Solve one key of a wave and answer every request that shares it."""
+        traced = telemetry.enabled()
         with self._lock:
-            for request in requests:
-                self._kernel_geometries[request.geometry.cache_key()] = (
-                    request.geometry
-                )
-        for index, request in enumerate(requests):
-            key = request.key(self.gpu_name)
-            cached = self.store.get(key)
-            if cached is not None and key not in groups:
-                with self._lock:
-                    self.stats.cache_hits += 1
-                ticket = PlanTicket(request=request, key=key, source="cached",
-                                    submitted_at=self.clock.now())
-                responses[index] = self._served(ticket, cached, "cached",
-                                                0.0, 0.0)
-            else:
-                groups.setdefault(key, []).append(index)
-        for key, indices in groups.items():
-            leader = requests[indices[0]]
-            action = (self.faults.next_action()
-                      if self.faults is not None else "ok")
-            with self._lock:
-                self.stats.solver_invocations += 1
-                self.stats.fresh += 1
-                self.stats.coalesced += len(indices) - 1
-            traced = telemetry.enabled()
-            if telemetry.enabled():
-                telemetry.count("service.solver_invocations",
-                                help="solver invocations (coalescing dedups "
-                                     "these)")
-            failed = action == ACTION_FAIL
-            configuration: Configuration | None = None
-            # Wave stage accounting: the clock only advances by solve
-            # durations, so time accrued serving *earlier* groups is
-            # exactly this group's queue wait.
-            queue_s = max(0.0, self.clock.now() - wave_start)
-            duration = 0.0
-            solve_seconds = 0.0
-            with telemetry.span("service.solve", key=str(key)) as sspan:
-                if traced:
-                    self._trace_span(sspan, leader)
-                    for position in indices[1:]:
-                        joiner = requests[position]
-                        if joiner.trace_id:
-                            sspan.links.append(  # type: ignore[attr-defined]
-                                {"trace_id": joiner.trace_id}
-                            )
-                if not failed:
-                    family = geometry_family(key.kernel)
-                    with self._lock:
-                        epoch = self._invalidation_epochs.get(family, 0)
-                    configuration, solve_seconds = self._solve_fn(leader)
-                    duration = solve_seconds
-                    if action == ACTION_STALL and self.faults is not None:
-                        duration += self.faults.stall_s
-                    self._advance(duration)
-                    with self._lock:
-                        stale = (
-                            self._invalidation_epochs.get(family, 0) != epoch
-                        )
-                    if not stale:
-                        self.store.put(key, configuration)
-            fallback: tuple[Configuration, float] | None = None
             for position, index in enumerate(indices):
                 request = requests[index]
-                source = "fresh" if position == 0 else "coalesced"
-                timed_out = (
-                    request.deadline_s is not None
-                    and duration > request.deadline_s
+                self._kernel_geometries[key.kernel] = request.geometry
+                self._account("coalesced" if position else "fresh")
+                if position and traced and request.trace_id:
+                    self._coalesced_traces.setdefault(key, []).append(
+                        request.trace_id
+                    )
+        configuration: Configuration | None = None
+        solve_seconds = duration = 0.0
+        try:
+            configuration, solve_seconds, duration = self._solve(
+                requests[indices[0]], key, simulated=True
+            )
+        except SolverError:
+            pass  # configuration stays None: every sharer falls back
+        finally:
+            self._retire(key)
+        fallback: tuple[Configuration, float] | None = None
+        for position, index in enumerate(indices):
+            request = requests[index]
+            source = "coalesced" if position else "fresh"
+            ticket = PlanTicket(request, key, source, self.clock.now())
+            if configuration is None:
+                reason = "solver_error"
+            elif (request.deadline_s is not None
+                    and duration > request.deadline_s):
+                reason = "timeout"
+            else:
+                responses[index] = self._served(
+                    ticket, configuration, source, solve_seconds, duration,
+                    stages={"queue": queue_s, "solve": duration},
                 )
-                ticket = PlanTicket(request=request, key=key, source=source,
-                                    submitted_at=self.clock.now())
-                if failed or timed_out:
-                    reason = "solver_error" if failed else "timeout"
-                    if fallback is None:
-                        fallback = self._require_fallback(
-                            request, key, reason, ticket=ticket
-                        )
-                        self._advance(fallback[1])
-                    with self._lock:
-                        if failed:
-                            self.stats.fallbacks_error += 1
-                        else:
-                            self.stats.fallbacks_timeout += 1
-                    responses[index] = self._served(
-                        ticket, fallback[0], "fallback", fallback[1],
-                        duration + fallback[1], fallback_reason=reason,
-                        stages={"queue": queue_s,
-                                "solve": duration + fallback[1]},
-                    )
-                else:
-                    assert configuration is not None
-                    responses[index] = self._served(
-                        ticket, configuration, source, solve_seconds,
-                        duration,
-                        stages={"queue": queue_s, "solve": duration},
-                    )
-        return [r for r in responses if r is not None]
-
-    def _require_fallback(
-        self,
-        request: PlanRequest,
-        key: PlanKey,
-        reason: str,
-        ticket: PlanTicket | None = None,
-    ) -> tuple[Configuration, float]:
-        """The undivided plan, or the ladder's terminal error."""
-        if telemetry.enabled():
-            telemetry.count(f"service.degraded.{reason}",
-                            help="requests degraded past the exact solve")
-        if not self.fallback_enabled:
-            with self._lock:
-                self.stats.deadline_errors += 1
-            if ticket is not None:
-                self._record_error(ticket, reason)
-            raise DeadlineExceededError(
-                f"plan for {key} degraded on {reason} (fallback disabled)"
+                continue
+            if fallback is None:
+                fallback = self._fallback(ticket, reason)
+                self._advance(fallback[1])
+            elapsed = duration + fallback[1]
+            responses[index] = self._served(
+                ticket, fallback[0], "fallback", fallback[1], elapsed,
+                fallback_reason=reason,
+                stages={"queue": queue_s, "solve": elapsed},
             )
-        fallback = self._fallback_solve(request)
-        if fallback is None:
-            with self._lock:
-                self.stats.deadline_errors += 1
-            if ticket is not None:
-                self._record_error(ticket, reason)
-            raise DeadlineExceededError(
-                f"plan for {key} degraded on {reason} and the undivided "
-                f"fallback does not fit {request.workspace_limit} B"
-            )
-        return fallback
 
     def _advance(self, seconds: float) -> None:
         """Advance a manual clock by simulated work (no-op on wall clocks)."""
@@ -897,18 +861,6 @@ class PlanService:
 
     # -- accounting ------------------------------------------------------------
 
-    def _count_admission(self, source: str) -> None:
-        # Called under self._lock; telemetry instruments lock themselves.
-        if telemetry.enabled():
-            telemetry.count("service.requests", help="requests admitted")
-            telemetry.count(f"service.admitted.{source}",
-                            help="admissions by initial serving source")
-
-    def _count_overload(self) -> None:
-        if telemetry.enabled():
-            telemetry.count("service.overloaded",
-                            help="submissions refused by admission control")
-
     @property
     def bench_cache(self) -> BenchmarkCache:
         """The shared benchmark cache (snapshotted by :mod:`repro.persistence`)."""
@@ -954,18 +906,26 @@ class PlanWave:  # reprolint: disable=THR001 -- a wave is thread-confined: built
             wave.add(request)          # admission control happens here
         responses = wave.serve()       # coalesced, deterministic serving
 
-    :meth:`add` raises :class:`~repro.errors.ServiceOverloadedError` for
-    every request past the service's ``max_pending`` -- over-limit requests
-    are refused individually, exactly like the threaded path's backpressure.
+    The front is a :class:`PlanService` or a
+    :class:`~repro.cluster.ClusterService`; a cluster routes each request
+    to its home shard, whose admission control applies.  :meth:`add`
+    raises :class:`~repro.errors.ServiceOverloadedError` for every request
+    past the home's ``max_pending`` or once it is closed -- over-limit
+    requests are refused individually, exactly like the threaded path's
+    backpressure.
     """
 
-    def __init__(self, service: PlanService) -> None:
-        self._service = service
+    def __init__(self, front: "PlanService | ClusterService") -> None:
+        self._front = front
         self._requests: list[PlanRequest] = []
+        #: Admitted requests per home shard id.
+        self._admitted: dict[str, int] = {}
         self._served = False
 
     def add(self, request: PlanRequest) -> None:
-        self._service.admit_wave_request(len(self._requests))
+        """Route and admit one request (a cluster raises ``ClusterError``
+        on a bad routing hint)."""
+        self._front.admit_wave_request(request, self._admitted)
         self._requests.append(request)
 
     def __len__(self) -> int:
@@ -976,4 +936,4 @@ class PlanWave:  # reprolint: disable=THR001 -- a wave is thread-confined: built
         if self._served:
             raise ServiceOverloadedError("wave already served")
         self._served = True
-        return self._service.serve_wave(self._requests)
+        return self._front.serve_wave(self._requests)

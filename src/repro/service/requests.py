@@ -22,7 +22,7 @@ the caller *how* the plan was produced:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.core.config import Configuration
 from repro.core.policies import BatchSizePolicy
@@ -146,20 +146,7 @@ class ServiceStats:
     delta_resolves: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "fresh": self.fresh,
-            "coalesced": self.coalesced,
-            "fallbacks_timeout": self.fallbacks_timeout,
-            "fallbacks_error": self.fallbacks_error,
-            "overloaded": self.overloaded,
-            "deadline_errors": self.deadline_errors,
-            "solver_invocations": self.solver_invocations,
-            "fallback_solves": self.fallback_solves,
-            "invalidated_plans": self.invalidated_plans,
-            "delta_resolves": self.delta_resolves,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -181,14 +168,7 @@ class StoreStats:
     invalidations: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-            "warm_hits": self.warm_hits,
-            "invalidations": self.invalidations,
-        }
+        return asdict(self)
 
 
 __all__ = [

@@ -12,7 +12,7 @@ snapshot warm-starts a fresh cluster with zero solver invocations.
 import pytest
 
 import repro.telemetry as telemetry
-from repro.cluster import ClusterService, ClusterTicket, ShardMap, stable_shard_hash
+from repro.cluster import ClusterService, ShardMap, stable_shard_hash
 from repro.cluster.shardmap import SHARD_MAP_KIND, SHARD_MAP_SCHEMA_VERSION
 from repro.core.config import Configuration, MicroConfig
 from repro.cudnn.enums import FwdAlgo
@@ -25,7 +25,7 @@ from repro.persistence import (
     warm_start,
 )
 from repro.persistence.snapshot import plans_of
-from repro.service import PlanRequest, PlanService
+from repro.service import PlanRequest, PlanService, PlanTicket
 from repro.service.soak import SoakConfig, run_soak
 from repro.telemetry.clock import ManualClock
 from repro.telemetry.exporters import prometheus_text
@@ -269,7 +269,7 @@ class TestFacade:
     def test_submit_wait_stamps_the_shard(self):
         with make_cluster(shards=2) as cluster:
             ticket = cluster.submit(make_request(kernel="conv1"))
-            assert isinstance(ticket, ClusterTicket)
+            assert isinstance(ticket, PlanTicket)
             response = cluster.wait(ticket)
             assert response.shard == ticket.shard
             assert response.configuration == fake_config()

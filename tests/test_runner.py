@@ -208,6 +208,23 @@ class TestServe:
         assert report["fallback_reasons"].get("timeout", 0) > 0
         assert report["fallback_reasons"].get("solver_error", 0) > 0
 
+    @pytest.mark.parametrize("golden, flags", [
+        ("soak_report.json", []),
+        ("cluster_soak_report.json",
+         ["--soak-clients", "32", "--shards", "4",
+          "--devices", "p100-sxm2,v100-sxm2", "--steal-watermark", "2",
+          "--tenant-mix", "train:3,infer:1"]),
+    ], ids=["soak", "cluster-soak"])
+    def test_soak_report_matches_its_golden(self, capsys, tmp_path, golden,
+                                            flags):
+        """The CI soak and cluster-soak reports, pinned byte for byte: any
+        change to what the serving pipeline answers, counts or times shows
+        up here (regenerate the golden only for an intended change)."""
+        out = tmp_path / "report.json"
+        assert main(["serve", "--soak", *flags, "--soak-report", str(out)]) == 0
+        expected = Path(__file__).resolve().parent / "goldens" / golden
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_soak_summary_line_reports_evictions(self, capsys):
         # The soak parameterization bounds its BenchmarkCache, so this is
         # the runner path where the eviction count becomes visible.

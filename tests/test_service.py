@@ -13,6 +13,8 @@ import threading
 import pytest
 
 import repro.observability as observability
+import repro.telemetry as telemetry
+from repro.cluster import ClusterService
 from repro.core.config import Configuration, MicroConfig
 from repro.cudnn.enums import FwdAlgo
 from repro.errors import (
@@ -308,6 +310,146 @@ class TestWave:
             ]
         finally:
             svc.close()
+
+
+def serve_one(svc, path: str, request: PlanRequest):
+    """One request through the threaded (``request``) or ``wave`` path."""
+    if path == "request":
+        return svc.request(request)
+    wave = svc.wave()
+    wave.add(request)
+    [response] = wave.serve()
+    return response
+
+
+#: Every ServiceStats field that has a ``service.*`` counter of its own.
+STATS_COUNTERS = {
+    "requests": "service.requests",
+    "cache_hits": "service.admitted.cached",
+    "fresh": "service.admitted.fresh",
+    "coalesced": "service.admitted.coalesced",
+    "overloaded": "service.overloaded",
+    "solver_invocations": "service.solver_invocations",
+    "fallback_solves": "service.fallback_solves",
+    "invalidated_plans": "service.invalidated_plans",
+    "delta_resolves": "service.delta_resolves",
+}
+
+
+class TestOnePipeline:
+    """The threaded and wave front-ends run the same stages, so they
+    refuse, fail and count alike."""
+
+    @pytest.mark.parametrize("front", ["service", "cluster"])
+    def test_closed_front_refuses_waves(self, front):
+        def solve(request):
+            return fake_config(), 0.1
+
+        svc = (PlanService(clock=ManualClock(), solve_fn=solve)
+               if front == "service" else
+               ClusterService(shards=2, clock_factory=ManualClock,
+                              solve_fn=solve))
+        svc.close()
+        wave = svc.wave()
+        with pytest.raises(ServiceOverloadedError, match="closed"):
+            wave.add(make_request())
+        assert len(wave) == 0
+        assert wave.serve() == []
+        assert svc.stats.requests == 0
+        assert svc.stats.solver_invocations == 0
+
+    @pytest.mark.parametrize("path", ["request", "wave"])
+    def test_one_terminal_error_per_cause(self, path):
+        faults = FaultInjector(script={0: ACTION_FAIL})
+        svc = PlanService(clock=ManualClock(), fallback=False, faults=faults,
+                          solve_fn=lambda r: (fake_config(), 0.1))
+        try:
+            with pytest.raises(SolverError):
+                serve_one(svc, path, make_request())
+        finally:
+            svc.close()
+        release = threading.Event()
+
+        def slow(request):
+            if path == "request":  # real time: outlive the deadline
+                assert release.wait(timeout=10)
+            return fake_config(), 10.0  # simulated time: past it
+
+        svc = PlanService(clock=ManualClock(), fallback=False, solve_fn=slow)
+        try:
+            with pytest.raises(DeadlineExceededError):
+                serve_one(svc, path, make_request(deadline_s=0.05))
+            assert svc.stats.deadline_errors == 1
+        finally:
+            release.set()
+            svc.close()
+
+    @pytest.mark.parametrize("path", ["request", "wave"])
+    def test_stats_equal_their_counters(self, path):
+        release = threading.Event()
+
+        def solve(request):
+            assert release.wait(timeout=10)
+            return fake_config(), 0.1
+
+        # a, its coalesced twin, b (whose solve faults), and one request
+        # past max_pending; served twice, so the second pass hits the store.
+        stream = [make_request(kernel="a"), make_request(kernel="a"),
+                  make_request(kernel="b", c=8, n=16), make_request(kernel="a")]
+        svc = PlanService(clock=ManualClock(), solve_fn=solve, workers=1,
+                          max_pending=3,
+                          faults=FaultInjector(script={1: ACTION_FAIL}))
+        with telemetry.capture() as session:
+            try:
+                for _ in range(2):
+                    if path == "request":
+                        tickets = []
+                        for request in stream:
+                            try:
+                                tickets.append(svc.submit(request))
+                            except ServiceOverloadedError:
+                                pass
+                        release.set()
+                        for ticket in tickets:
+                            svc.wait(ticket)
+                    else:
+                        release.set()
+                        wave = svc.wave()
+                        for request in stream:
+                            try:
+                                wave.add(request)
+                            except ServiceOverloadedError:
+                                pass
+                        wave.serve()
+            finally:
+                release.set()
+                svc.close()
+        stats = svc.stats
+        assert stats.cache_hits and stats.coalesced and stats.overloaded
+        assert stats.fallback_solves
+        for field, counter in STATS_COUNTERS.items():
+            assert session.metrics.value(counter, 0) == getattr(stats, field), (
+                field
+            )
+
+    @pytest.mark.parametrize("path", ["request", "wave"])
+    def test_stale_solve_is_answered_not_stored(self, path):
+        def solve(request):
+            # A benchmark refresh of the kernel's family lands mid-solve.
+            svc._on_bench_refresh(svc.gpu_name, request.geometry)
+            return fake_config(), 0.1
+
+        svc = PlanService(clock=ManualClock(), solve_fn=solve)
+        request = make_request()
+        try:
+            with telemetry.capture() as session:
+                response = serve_one(svc, path, request)
+        finally:
+            svc.close()
+        assert response.source == "fresh"
+        assert response.configuration == fake_config()
+        assert request.key(svc.gpu_name) not in svc.store
+        assert session.metrics.value("service.stale_plans_dropped") == 1
 
 
 class TestPlanStore:
