@@ -3,8 +3,8 @@
 The paper motivates WD with Inception modules but never evaluates the full
 GoogLeNet; this extension experiment does.  171 kernels across 1x1/3x3/5x5
 branch geometries share one pool; WD must beat per-kernel WR at the same
-total, concentrate budget on the 5x5/3x3 branch kernels, and keep the ILP
-small enough to solve in milliseconds.
+total, concentrate budget on the 5x5/3x3 branch kernels, and keep the pruned
+WD instance small enough to solve in milliseconds.
 """
 
 from benchmarks.conftest import run_once
@@ -30,7 +30,7 @@ def run_experiment():
     cache = BenchmarkCache()
     table = Table(
         f"GoogLeNet (N=32, {len(geoms)} kernels): WR vs WD at equal totals",
-        ["per-kernel", "total", "WR ms", "WD ms", "WD/WR", "ILP vars",
+        ["per-kernel", "total", "WR ms", "WD ms", "WD/WR", "0-1 vars",
          "solve ms"],
     )
     cells = {}

@@ -2,7 +2,7 @@
 
 Micro-batching optimizer layers over the simulated cuDNN substrate:
 configuration types, batch-size policies, the WR dynamic program, the
-desirable-set Pareto pruning, the WD 0-1 ILP (with two exact solvers),
+desirable-set Pareto pruning, the WD 0-1 ILP (solved by the MCKP merge),
 benchmark/configuration caching, micro-batched execution, and the
 transparent ``UcudnnHandle`` interposition wrapper.
 """

@@ -206,7 +206,7 @@ class UcudnnHandle:
                 kernels.append(
                     WDKernel(key=g.cache_key(), geometry=g, benchmark=bench, desirable=front)
                 )
-            result = solve_from_kernels(kernels, total, solver=self.options.wd_solver)
+            result = solve_from_kernels(kernels, total)
         self.wd_result = result
         for kernel in kernels:
             self._configs[kernel.geometry] = result.assignments[kernel.key]

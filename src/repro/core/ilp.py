@@ -3,8 +3,7 @@
 The paper solves WD with GLPK; offline we provide our own exact solver:
 branch-and-bound with best-first node selection, branching on the one
 fractional item of each node's LP optimum, and a greedy swap pass to seed
-the incumbent.  An exhaustive solver is included for cross-checking on
-small instances.
+the incumbent.
 
 Problems are stated in the general form::
 
@@ -17,8 +16,7 @@ but the branch-and-bound solves only the WD formulation (Equation 1-4), a
 multiple-choice knapsack (MCKP): one "pick exactly one configuration"
 equality row per kernel and a single inequality row (the shared workspace
 pool) with non-negative weights.  Any other shape raises
-:class:`~repro.errors.SolverError`; :func:`solve_exhaustive` still solves
-small instances of any shape.
+:class:`~repro.errors.SolverError`.
 
 Node bounds come from the MCKP LP relaxation, computed combinatorially via
 the classic convex-hull / greedy-upgrade relaxation (Sinha & Zoltners): per
@@ -517,9 +515,7 @@ def solve_branch_and_bound(
     """Exact best-first branch-and-bound over the MCKP relaxation.
 
     ``problem`` must have the WD shape (see the module docstring); any other
-    shape raises :class:`SolverError` naming the shape required, and
-    :func:`solve_exhaustive` remains available for small instances of any
-    shape.
+    shape raises :class:`SolverError` naming the shape required.
 
     ``warm_start`` is an optional 0-1 vector seeding the incumbent (after
     the greedy seed, replacing it only on strict improvement -- preserving
@@ -534,8 +530,7 @@ def solve_branch_and_bound(
         raise SolverError(
             "branch-and-bound needs the WD (multiple-choice knapsack) shape: "
             "0/1 equality rows with right-hand side 1 covering every variable "
-            "exactly once, and one inequality row with non-negative weights; "
-            "use solve_exhaustive for small instances of other shapes"
+            "exactly once, and one inequality row with non-negative weights"
         )
     with telemetry.span(
         "ilp.solve",
@@ -572,28 +567,3 @@ def solve_branch_and_bound(
         )
     return solution
 
-
-def solve_exhaustive(problem: ZeroOneProblem) -> ILPSolution:
-    """Enumerate all 2^n assignments (testing aid; n <= ~20)."""
-    start = _CLOCK.now()
-    n = problem.num_variables
-    if n > 24:
-        raise SolverError(f"exhaustive solve refused for n={n} > 24")
-    best_x = None
-    best_obj = math.inf
-    for bits in itertools.product((0.0, 1.0), repeat=n):
-        x = np.array(bits)
-        if problem.is_feasible(x):
-            obj = problem.objective(x)
-            if obj < best_obj:
-                best_obj = obj
-                best_x = x
-    if best_x is None:
-        raise SolverError("ILP has no integral feasible solution")
-    return ILPSolution(
-        x=best_x,
-        objective=best_obj,
-        optimal=True,
-        solve_time=_CLOCK.now() - start,
-        num_variables=n,
-    )

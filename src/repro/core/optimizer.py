@@ -173,11 +173,15 @@ def optimize_network_wd(
     geometries: dict[str, ConvGeometry],
     total_workspace: int,
     policy: BatchSizePolicy = BatchSizePolicy.POWER_OF_TWO,
-    solver: str = "ilp",
+    solver: str = "mckp",
     cache: BenchmarkCache | None = None,
     max_front: int | None = None,
 ) -> NetworkPlan:
-    """WD: all kernels share one ``total_workspace``-byte pool."""
+    """WD: all kernels share one ``total_workspace``-byte pool.
+
+    ``solver`` is ``"mckp"`` (production) or ``"ilp"`` (branch-and-bound);
+    see :func:`~repro.core.wd.solve_from_kernels`.
+    """
     plan = NetworkPlan(scheme="wd", policy=policy)
     rec = observability.recorder()
     pid = -1

@@ -13,12 +13,12 @@ variables; we reproduce that surface:
 ``UCUDNN_BENCHMARK_DB``        path of the file-based benchmark database
 ``UCUDNN_BENCHMARK_DEVICES``   number of (homogeneous) GPUs used for the
                                parallel micro-configuration evaluation
-``UCUDNN_WD_SOLVER``           ``ilp`` (default, the GLPK stand-in) / ``mckp``
 ``UCUDNN_DETERMINISTIC``       ``1`` restricts selection to bitwise-
                                reproducible algorithms (no atomics-based
                                backward kernels)
 =============================  ==============================================
 
+WD always solves with the exact MCKP solver (:mod:`repro.core.mckp`).
 Programmatic construction is equally supported (``Options(...)``); the
 environment is only consulted by :meth:`Options.from_env`.
 """
@@ -36,7 +36,6 @@ ENV_WORKSPACE_LIMIT = "UCUDNN_WORKSPACE_LIMIT"
 ENV_TOTAL_WORKSPACE = "UCUDNN_TOTAL_WORKSPACE_SIZE"
 ENV_BENCHMARK_DB = "UCUDNN_BENCHMARK_DB"
 ENV_BENCHMARK_DEVICES = "UCUDNN_BENCHMARK_DEVICES"
-ENV_WD_SOLVER = "UCUDNN_WD_SOLVER"
 ENV_DETERMINISTIC = "UCUDNN_DETERMINISTIC"
 
 
@@ -49,7 +48,6 @@ class Options:
     total_workspace: int | None = None
     benchmark_db: str | None = None
     benchmark_devices: int = 1
-    wd_solver: str = "ilp"
     deterministic: bool = False
 
     def __post_init__(self):
@@ -59,8 +57,6 @@ class Options:
             raise ValueError("total_workspace must be >= 0")
         if self.benchmark_devices < 1:
             raise ValueError("benchmark_devices must be >= 1")
-        if self.wd_solver not in ("ilp", "mckp"):
-            raise ValueError("wd_solver must be 'ilp' or 'mckp'")
 
     @property
     def use_wd(self) -> bool:
@@ -82,8 +78,6 @@ class Options:
             kwargs["benchmark_db"] = env[ENV_BENCHMARK_DB]
         if ENV_BENCHMARK_DEVICES in env:
             kwargs["benchmark_devices"] = int(env[ENV_BENCHMARK_DEVICES])
-        if ENV_WD_SOLVER in env:
-            kwargs["wd_solver"] = env[ENV_WD_SOLVER]
         if ENV_DETERMINISTIC in env:
             kwargs["deterministic"] = env[ENV_DETERMINISTIC].strip() not in (
                 "", "0", "false", "False", "no",

@@ -28,10 +28,12 @@ at every limit repeats almost all of the work, because both optimizers are
   are the Pareto front of ``r``-fold sums of the class front (annotated
   with multiplicity counts, so "2 copies run cheap, 1 runs fast" stays
   expressible); the solved counts are disaggregated back to per-kernel
-  assignments in canonical order.  Limits are solved ascending, each ILP
-  warm-started with the previous limit's optimum (feasible at every larger
-  limit); the warm incumbent additionally enables root reduced-cost
-  variable fixing inside the solver (``ilp.fixed_vars``).
+  assignments in canonical order.  The aggregated instance goes to the
+  production MCKP solver, or with ``solver="ilp"`` to branch-and-bound;
+  limits are solved ascending, so each ILP is warm-started with the
+  previous limit's optimum (feasible at every larger limit), and the warm
+  incumbent additionally enables root reduced-cost variable fixing inside
+  the solver (``ilp.fixed_vars``).
 
 Exactness: sweeps never approximate.  ``sweep_wr`` runs the very same DP on
 the very same ``T1`` tables.  For WD, a dominated class multiset can always
@@ -564,15 +566,15 @@ class WDSweep:
 def sweep_wd(
     kernels: list[WDKernel],
     limits: Iterable[int],
-    solver: str = "ilp",
+    solver: str = "mckp",
 ) -> WDSweep:
     """WD-solve prepared kernels under every pooled limit in ``limits``.
 
     ``kernels`` must carry *full* fronts (:func:`prepare_wd_kernels`).
     Fronts are truncated per limit by prefix; interchangeable kernels are
     aggregated into multiplicity-annotated classes (see the module
-    docstring) so the branch-and-bound never pays for permutation
-    symmetry; limits are solved in ascending order so each ILP can be
+    docstring) so neither solver pays for permutation symmetry; limits are
+    solved in ascending order so each ``solver="ilp"`` solve can be
     warm-started from the previous optimum, which stays feasible as the
     pool grows.  Assignments are identical to the per-limit
     :func:`~repro.core.wd.optimize` (both emit the canonical symmetric
@@ -711,7 +713,7 @@ def sweep_network_wd(
     geometries: dict[str, ConvGeometry],
     limits: Iterable[int],
     policy: BatchSizePolicy = BatchSizePolicy.POWER_OF_TWO,
-    solver: str = "ilp",
+    solver: str = "mckp",
     cache: BenchmarkCache | None = None,
 ) -> tuple[WDSweep, dict[int, NetworkPlan]]:
     """Per-limit :func:`~repro.core.optimizer.optimize_network_wd`, swept.

@@ -1,48 +1,38 @@
-"""Tensorized network-wide solves and incremental re-optimization.
+"""Tensorized network-wide WR solves and incremental re-optimization.
 
-The per-kernel solvers (:mod:`repro.core.wr`, :mod:`repro.core.mckp`) spend
-their time in Python inner loops: the WR coin-change DP iterates
-``batch x sizes`` candidate cells per kernel, and the MCKP front merge
-iterates ``front x group`` candidates per group.  Both loops are data
-parallel across kernels (WR: the paper's key independence property -- one
-kernel's optimum never depends on another's) and across candidates (MCKP:
-one front merge is a sort + prefix scan), so this module re-expresses them
-as numpy tensor passes -- the same trick
+The per-kernel WR solver (:mod:`repro.core.wr`) spends its time in a Python
+inner loop: the coin-change DP iterates ``batch x sizes`` candidate cells
+per kernel.  That loop is data parallel across kernels (the paper's key
+independence property -- one kernel's optimum never depends on another's),
+so this module re-expresses it as one numpy tensor pass -- the same trick
 :func:`repro.cudnn.api.find_algorithms_batched` used for the benchmarking
 find path.
 
-**Bit-identity, not approximation.**  The tensor passes perform the *same*
-float64 additions in the *same* association order as the serial loops and
-break ties by the *same* deterministic rules, so results are equal as
-Python objects, not merely numerically close:
-
-* WR: the serial DP scans ``t1.items()`` in ascending-size order and keeps
-  the first strict minimum; the tensor DP lays sizes out ascending per row
-  and uses ``np.argmin`` (first occurrence of the minimum) -- the same
-  winner.  Each candidate is one binary add ``times[i-m] + T1(m)`` on both
-  sides.  Backtracing replays :func:`repro.core.wr._rebuild` exactly,
-  reusing the very :class:`~repro.core.config.MicroConfig` objects of the
-  memoized ``T1`` table.
-* MCKP: the serial front sorts candidates by ``(weight, cost)`` with
-  Python's stable sort and keeps strict cost minima in a forward scan; the
-  tensor front generates candidates in the same (front-major, group-minor)
-  order, sorts with the stable ``np.lexsort((cost, weight))``, and computes
-  the same keep-mask with ``np.minimum.accumulate``.  Selection backtracks
-  through per-stage parent indices instead of carrying tuples.
+**Bit-identity, not approximation.**  The tensor pass performs the *same*
+float64 additions in the *same* association order as the serial loop and
+breaks ties by the *same* deterministic rule, so results are equal as
+Python objects, not merely numerically close: the serial DP scans
+``t1.items()`` in ascending-size order and keeps the first strict minimum;
+the tensor DP lays sizes out ascending per row and uses ``np.argmin``
+(first occurrence of the minimum) -- the same winner.  Each candidate is
+one binary add ``times[i-m] + T1(m)`` on both sides.  Backtracing replays
+:func:`repro.core.wr._rebuild` exactly, reusing the very
+:class:`~repro.core.config.MicroConfig` objects of the memoized ``T1``
+table.
 
 Padding convention: per-kernel ``T1`` tables of different lengths are
 packed into ``(kernels, max_sizes)`` tensors with size ``0`` / time ``inf``
 padding; a mask (``sizes > 0``) keeps padding out of every argmin.
 
 **Incremental re-optimization.**  :class:`DeltaSolver` caches per-kernel WR
-breakpoints and per-bucket answers plus WD desirable fronts and ILP
-warm-start bases, keyed on ``(gpu, kernel geometry, policy)`` and guarded
-by a fingerprint of the benchmark rows.  When one kernel's geometry,
-limit, or bench row changes, only the affected kernels are re-solved (one
-tensor pass over the misses) and recombined with the cached rest --
-correct because WR kernels are independent and WR answers are constant
-between breakpoints.  Correctness is proven by equality against the serial
-solvers (:mod:`tests.test_tensor_solve`), never re-derived.
+breakpoints and per-bucket answers, keyed on ``(gpu, kernel geometry,
+policy)`` and guarded by a fingerprint of the benchmark rows.  When one
+kernel's geometry, limit, or bench row changes, only the affected kernels
+are re-solved (one tensor pass over the misses) and recombined with the
+cached rest -- correct because WR kernels are independent and WR answers
+are constant between breakpoints.  Correctness is proven by equality
+against the serial solvers (:mod:`tests.test_tensor_solve`), never
+re-derived.
 """
 
 from __future__ import annotations
@@ -60,12 +50,8 @@ import repro.observability as observability
 import repro.telemetry as telemetry
 from repro.core.benchmarker import KernelBenchmark
 from repro.core.config import Configuration, MicroConfig
-from repro.core.mckp import MCKPItem, MCKPSolution
-from repro.core.pareto import desirable_set
-from repro.core.wd import WDKernel, symmetry_class_key
 from repro.core.wr import _record_wr_provenance, t1_table
-from repro.errors import OptimizationError, SolverError
-from repro.telemetry.clock import Clock
+from repro.errors import OptimizationError
 
 
 # ---------------------------------------------------------------------------
@@ -248,94 +234,6 @@ def solve_network_wr(
 
 
 # ---------------------------------------------------------------------------
-# Tensorized MCKP
-# ---------------------------------------------------------------------------
-
-
-def solve_mckp_tensor(
-    groups: "list[list[MCKPItem]]",
-    capacity: int,
-    max_front: int,
-    clock: Clock,
-) -> MCKPSolution:
-    """Vectorized Pareto-front merge, bit-identical to the serial MCKP.
-
-    Candidate generation, stable ``(weight, cost)`` ordering, the strict
-    cost-minimum keep scan, overflow/infeasibility errors, and the final
-    first-minimum pick all mirror :func:`repro.core.mckp._solve_mckp`
-    (see the module docstring for the equivalences).  Selection payloads
-    are replaced by per-stage parent/item index arrays and recovered by a
-    backward walk.  ``clock`` is injected by the dispatching wrapper so
-    ``solve_time`` accounting matches the serial path's source.
-    """
-    start = clock.now()
-    if not groups:
-        raise SolverError("MCKP needs at least one group")
-    for gi, group in enumerate(groups):
-        if not group:
-            raise SolverError(f"MCKP group {gi} is empty")
-
-    front_cost = np.zeros(1, dtype=np.float64)
-    front_weight = np.zeros(1, dtype=np.int64)
-    parents: list[np.ndarray] = []
-    picks: list[np.ndarray] = []
-    peak = 1
-    for group in groups:
-        gcost = np.array([item.cost for item in group], dtype=np.float64)
-        gweight = np.array([item.weight for item in group], dtype=np.int64)
-        gindex = np.array([item.index for item in group], dtype=np.int64)
-        n = len(group)
-        # Front-major, group-minor C-order ravel = the serial generation
-        # order, which the stable sort's tie-breaking depends on.
-        cand_cost = (front_cost[:, None] + gcost[None, :]).ravel()
-        cand_weight = (front_weight[:, None] + gweight[None, :]).ravel()
-        admitted = np.flatnonzero(cand_weight <= capacity)
-        if admitted.size == 0:
-            raise SolverError(
-                f"no item combination fits capacity {capacity} "
-                f"(infeasible after {len(front_cost)}-point front)"
-            )
-        cost = cand_cost[admitted]
-        weight = cand_weight[admitted]
-        parent = admitted // n
-        pick = gindex[admitted % n]
-        order = np.lexsort((cost, weight))  # stable; primary weight, then cost
-        cost = cost[order]
-        weight = weight[order]
-        keep = np.empty(len(cost), dtype=bool)
-        keep[0] = bool(cost[0] < np.inf)
-        if len(cost) > 1:
-            running = np.minimum.accumulate(cost)
-            keep[1:] = cost[1:] < running[:-1]  # strict < over the prefix min
-        front_cost = cost[keep]
-        front_weight = weight[keep]
-        kept = order[keep]
-        parents.append(parent[kept])
-        picks.append(pick[kept])
-        peak = max(peak, len(front_cost))
-        if len(front_cost) > max_front:
-            raise SolverError(
-                f"MCKP front exploded to {len(front_cost)} points; "
-                "use the branch-and-bound ILP solver instead"
-            )
-
-    best = int(np.argmin(front_cost))  # first minimum = serial min()
-    selection: list[int] = []
-    pos = best
-    for stage in range(len(groups) - 1, -1, -1):
-        selection.append(int(picks[stage][pos]))
-        pos = int(parents[stage][pos])
-    selection.reverse()
-    return MCKPSolution(
-        selection=selection,
-        cost=float(front_cost[best]),
-        weight=int(front_weight[best]),
-        solve_time=clock.now() - start,
-        front_peak=peak,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Incremental re-optimization
 # ---------------------------------------------------------------------------
 
@@ -391,8 +289,6 @@ class DeltaStats:
     #: Cache entries dropped because a fingerprint or an explicit
     #: invalidation said the underlying bench rows changed.
     invalidations: int = 0
-    #: WD solves that reused a cached ILP warm-start basis.
-    wd_warm_reuses: int = 0
 
     def as_dict(self) -> "dict[str, int]":
         return {
@@ -402,7 +298,6 @@ class DeltaStats:
             "kernels_solved": self.kernels_solved,
             "kernels_reused": self.kernels_reused,
             "invalidations": self.invalidations,
-            "wd_warm_reuses": self.wd_warm_reuses,
         }
 
 
@@ -418,21 +313,11 @@ class _WRDeltaEntry:
     errors: "dict[int, OptimizationError]" = field(default_factory=dict)
 
 
-@dataclass
-class _WDDeltaEntry:
-    """Cached WD state of one ``(gpu, geometry, policy)`` kernel."""
-
-    fingerprint: tuple
-    #: Full (limit-free) desirable front; per-limit fronts are prefixes.
-    front: "list[Configuration]"
-
-
 class DeltaSolver:
-    """Incremental network solver: re-solve only what changed.
+    """Incremental network WR solver: re-solve only what changed.
 
     Caches, per ``(gpu, kernel geometry, policy)``: WR breakpoints and
-    per-breakpoint-bucket configurations/errors, WD desirable fronts, and
-    (per network shape and limit) ILP warm-start bases.  A benchmark-row
+    per-breakpoint-bucket configurations/errors.  A benchmark-row
     fingerprint guards every entry, so a mutated kernel re-solves while
     untouched kernels recombine from the cache -- exact because WR kernels
     are independent and WR answers are constant within a breakpoint bucket
@@ -450,14 +335,6 @@ class DeltaSolver:
         #: read *and* write cache entries, so they hold it end to end.
         self._lock = threading.Lock()
         self._wr: dict[tuple[str, str, str], _WRDeltaEntry] = {}
-        self._wd: dict[tuple[str, str, str], _WDDeltaEntry] = {}
-        #: Merged symmetry-class fronts keyed by (class key, multiplicity,
-        #: prefix cut, prefix signature) -- signature-guarded so a mutated
-        #: front can never serve stale multisets.
-        self._merged: dict[tuple, list] = {}
-        #: Last optimal per-class counts per (network signature): the ILP
-        #: warm-start basis for re-solves of the same network shape.
-        self._wd_warm: dict[tuple, tuple[int, list]] = {}
 
     def _key(self, bench: KernelBenchmark) -> "tuple[str, str, str]":
         return (self.gpu, bench.geometry.cache_key(), bench.policy.value)
@@ -581,133 +458,23 @@ class DeltaSolver:
         """Drop cached entries of one kernel family (all batch sizes).
 
         ``family`` is a :func:`geometry_family` key;  ``policy`` optionally
-        restricts the drop.  Warm-start bases are cleared wholesale (they
-        aggregate over the whole network).  Returns the number of entries
-        dropped; the next solve delta-solves exactly those kernels.
+        restricts the drop.  Returns the number of entries dropped; the next
+        solve delta-solves exactly those kernels.
         """
         dropped = 0
         with self._lock:
-            for store in (self._wr, self._wd):
-                for key in list(store):
-                    if geometry_family(key[1]) != family:
-                        continue
-                    if policy is not None and key[2] != policy:
-                        continue
-                    del store[key]
-                    dropped += 1
-            if dropped:
-                self.stats.invalidations += dropped
-                self._wd_warm.clear()
+            for key in list(self._wr):
+                if geometry_family(key[1]) != family:
+                    continue
+                if policy is not None and key[2] != policy:
+                    continue
+                del self._wr[key]
+                dropped += 1
+            self.stats.invalidations += dropped
         if dropped and telemetry.enabled():
             telemetry.count("solver.delta_invalidations", dropped,
                             help="delta-cache entries dropped on bench change")
         return dropped
-
-    # -- WD: cached fronts + ILP warm-start bases ---------------------------
-
-    def _wd_front(self, bench: KernelBenchmark) -> "list[Configuration]":
-        """The kernel's full desirable front, recomputed on bench change.
-
-        Must be called under ``self._lock``.
-        """
-        key = self._key(bench)
-        fingerprint = bench_fingerprint(bench)
-        entry = self._wd.get(key)
-        if entry is None or entry.fingerprint != fingerprint:
-            if entry is not None:
-                self.stats.invalidations += 1
-            front = desirable_set(bench, workspace_limit=None)
-            self._wd[key] = _WDDeltaEntry(  # reprolint: disable=THR001 -- caller holds self._lock (documented precondition)
-                fingerprint=fingerprint, front=front)
-            self.stats.kernels_solved += 1
-        else:
-            front = entry.front
-            self.stats.kernels_reused += 1
-        return front
-
-    def solve_network_wd(
-        self,
-        benches: "Mapping[str, KernelBenchmark]",
-        total_workspace: int,
-        solver: str = "ilp",
-    ) -> "dict[str, Configuration]":
-        """WD-solve a network, reusing cached fronts and warm-start bases.
-
-        Assignments equal :func:`repro.core.sweep.sweep_wd` at the same
-        limit (both run the symmetry-aggregated solve and the canonical
-        disaggregation).  Desirable fronts, merged class fronts, and the
-        previous optimum of the same network shape (the ILP warm-start
-        basis) are cached; the pick-one combine itself always runs -- WD
-        couples kernels through the shared pool, so only its *inputs*
-        delta, not the final solve.
-        """
-        from repro.core.sweep import (  # local: sweep imports this module
-            _merged_front,
-            _solve_aggregated,
-            truncate_front,
-        )
-
-        with self._lock:
-            kernels = [
-                WDKernel(key=name, geometry=bench.geometry, benchmark=bench,
-                         desirable=self._wd_front(bench))
-                for name, bench in benches.items()
-            ]
-            classes: dict[tuple, list[WDKernel]] = {}
-            for kernel in kernels:
-                classes.setdefault(symmetry_class_key(kernel), []).append(kernel)
-            class_list = list(classes.values())
-            class_keys = list(classes.keys())
-            fronts = [members[0].desirable for members in class_list]
-            cuts = [
-                bisect.bisect_right([c.workspace for c in front],
-                                    total_workspace)
-                for front in fronts
-            ]
-            for members, cut in zip(class_list, cuts):
-                if cut == 0:
-                    truncate_front(members[0], total_workspace)  # raises
-            items_per_class = []
-            for class_key, members, front, cut in zip(
-                class_keys, class_list, fronts, cuts
-            ):
-                signature = tuple(
-                    (c.time, c.workspace) for c in front[:cut]
-                )
-                memo_key = (class_key, len(members), cut, signature)
-                items = self._merged.get(memo_key)
-                if items is None:
-                    items = _merged_front(front[:cut], len(members))
-                    self._merged[memo_key] = items
-                items_per_class.append(items)
-            network_signature = tuple(
-                (class_key, len(members))
-                for class_key, members in zip(class_keys, class_list)
-            )
-            warm = self._wd_warm.get(network_signature)
-            prev_choice = None
-            if warm is not None and warm[0] <= total_workspace:
-                # Feasible by monotonicity: the basis fit a smaller (or
-                # equal) pool; _solve_aggregated drops it gracefully if a
-                # mutated front no longer contains the multisets.
-                prev_choice = warm[1]
-            chosen, _solution, _num_vars, warm_used = _solve_aggregated(
-                class_list, fronts, items_per_class, total_workspace,
-                solver, prev_choice,
-            )
-            if warm_used:
-                self.stats.wd_warm_reuses += 1
-            self._wd_warm[network_signature] = (total_workspace, chosen)
-            assignments: dict[str, Configuration] = {}
-            for members, front, counts in zip(class_list, fronts, chosen):
-                picked: list[Configuration] = []
-                for j, count in enumerate(counts):
-                    picked.extend([front[j]] * count)
-                # Ascending-workspace order over members in input order is
-                # the canonical symmetric form (same loop as sweep_wd).
-                for kernel, config in zip(members, picked):
-                    assignments[kernel.key] = config
-        return assignments
 
 
 __all__ = [
@@ -715,7 +482,6 @@ __all__ = [
     "DeltaStats",
     "bench_fingerprint",
     "geometry_family",
-    "solve_mckp_tensor",
     "solve_network_wr",
     "solve_network_wr_outcomes",
 ]

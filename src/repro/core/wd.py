@@ -13,9 +13,11 @@ are pruned to the kernel's *desirable set* (Pareto front) first -- the
 section III-C1 theorem guarantees this drops no optimal solution, and it is
 what makes the ILP practical (hundreds of binaries rather than exponential).
 
-Two independent exact solvers are offered: the branch-and-bound ILP
-(:mod:`repro.core.ilp`, the GLPK stand-in) and the Pareto-merge MCKP solver
-(:mod:`repro.core.mckp`); tests assert they agree.
+The production solver is the Pareto-merge MCKP (:mod:`repro.core.mckp`):
+exact for the same dominance reason the pruning is.  The branch-and-bound
+ILP (:mod:`repro.core.ilp`, the GLPK stand-in) is the independent exact
+solver behind an explicit ``solver="ilp"``; the section IV-D ILP statistics
+and the sweep benchmarks use it, and tests assert the two agree.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class WDResult:
     #: Number of 0-1 variables after Pareto pruning (paper: 562 for
     #: ResNet-50 at 5088 MiB).
     num_variables: int = 0
-    solver: str = "ilp"
+    solver: str = "mckp"
     solve_time: float = 0.0
     ilp: ILPSolution | None = None
     benchmark_time: float = 0.0
@@ -154,39 +156,15 @@ def canonicalize_symmetric(
     return assignments
 
 
-def _warm_vector(
-    kernels: list[WDKernel],
-    owner: list[int],
-    configs: list[Configuration],
-    num_variables: int,
-    warm_start: dict[str, Configuration],
-) -> np.ndarray | None:
-    """Map a per-kernel configuration dict onto the flattened 0-1 variables.
-
-    Returns ``None`` when any kernel's warm configuration is missing from its
-    desirable set (e.g. the previous limit pruned differently) -- the solve
-    then proceeds cold, which is always correct.
-    """
-    x = np.zeros(num_variables)
-    picked = [False] * len(kernels)
-    for var, (ki, config) in enumerate(zip(owner, configs)):
-        if not picked[ki] and config == warm_start.get(kernels[ki].key):
-            x[var] = 1.0
-            picked[ki] = True
-    return x if all(picked) else None
-
-
 def solve_from_kernels(
     kernels: list[WDKernel],
     total_workspace: int,
-    solver: str = "ilp",
-    warm_start: dict[str, Configuration] | None = None,
+    solver: str = "mckp",
 ) -> WDResult:
     """Run the WD assignment over prepared kernels (benchmarks + fronts).
 
-    ``warm_start`` optionally maps kernel keys to known-good configurations
-    (typically the previous limit's optimum in a sweep); it seeds the ILP's
-    branch-and-bound incumbent and is ignored by the ``mckp`` solver.
+    ``solver`` is ``"mckp"`` (production) or ``"ilp"`` (branch-and-bound);
+    both are exact and return the same canonical assignment.
     """
     rec = observability.recorder()
     pid = -1
@@ -201,8 +179,7 @@ def solve_from_kernels(
         "optimize.wd", solver=solver, kernels=len(kernels),
         total_workspace=total_workspace,
     ) as tspan:
-        result = _solve_from_kernels(kernels, total_workspace, solver,
-                                     warm_start=warm_start)
+        result = _solve_from_kernels(kernels, total_workspace, solver)
         tspan.set("variables", result.num_variables)
         tspan.set("time", result.total_time)
         tspan.set("workspace", result.total_workspace)
@@ -231,19 +208,12 @@ def solve_from_kernels(
 
 
 def _solve_from_kernels(
-    kernels: list[WDKernel],
-    total_workspace: int,
-    solver: str = "ilp",
-    warm_start: dict[str, Configuration] | None = None,
+    kernels: list[WDKernel], total_workspace: int, solver: str
 ) -> WDResult:
     start = _CLOCK.now()
     if solver == "ilp":
         problem, owner, configs = _build_problem(kernels, total_workspace)
-        x0 = None
-        if warm_start is not None:
-            x0 = _warm_vector(kernels, owner, configs,
-                              problem.num_variables, warm_start)
-        solution = solve_branch_and_bound(problem, warm_start=x0)
+        solution = solve_branch_and_bound(problem)
         assignments: dict[str, Configuration] = {}
         for var in solution.selected():
             assignments[kernels[owner[var]].key] = configs[var]
@@ -296,7 +266,7 @@ def optimize(
     geometries: dict[str, ConvGeometry],
     total_workspace: int,
     policy: BatchSizePolicy = BatchSizePolicy.POWER_OF_TWO,
-    solver: str = "ilp",
+    solver: str = "mckp",
     cache: BenchmarkCache | None = None,
     max_front: int | None = None,
 ) -> WDResult:

@@ -515,7 +515,6 @@ def fig13_wr_vs_wd(
     models: tuple[str, ...] = ("alexnet", "resnet50"),
     per_kernel_mib: tuple[int, ...] = (8, 64),
     policy: BatchSizePolicy = BatchSizePolicy.POWER_OF_TWO,
-    wd_solver: str = "ilp",
 ) -> Fig13Result:
     """Fig. 13: WR and WD compared at identical *total* workspace.
 
@@ -545,7 +544,7 @@ def fig13_wr_vs_wd(
         wr = sweep_network_wr(handle, geoms, per_limits, policy, cache=cache)
         totals = [m * MIB * len(geoms) for m in per_kernel_mib]
         _, wd_plans = sweep_network_wd(handle, geoms, totals, policy,
-                                       solver=wd_solver, cache=cache)
+                                       cache=cache)
         for mib_each in per_kernel_mib:
             total = mib_each * MIB * len(geoms)
             for scheme, plan, pol_name in (
@@ -590,12 +589,11 @@ def fig14_workspace_division(
     gpu: str = "p100-sxm2",
     total_workspace: int = 120 * MIB,
     policy: BatchSizePolicy = BatchSizePolicy.POWER_OF_TWO,
-    solver: str = "ilp",
 ) -> Fig14Result:
     """Fig. 14: how WD divides a 120 MiB pool across AlexNet's 15 kernels."""
     geoms = conv_geometries_of(build_alexnet, PAPER_BATCHES["alexnet"], gpu)
     handle = CudnnHandle(gpu=Gpu.create(gpu), mode=ExecMode.TIMING)
-    plan = optimize_network_wd(handle, geoms, total_workspace, policy, solver=solver)
+    plan = optimize_network_wd(handle, geoms, total_workspace, policy)
     table = Table(
         f"Fig.14 WD workspace division of AlexNet on {gpu} "
         f"(total {format_bytes(total_workspace)})",
@@ -841,12 +839,11 @@ def explain_report(
     batch: int = 64,
     total_workspace_mib: int = 120,
     policy: BatchSizePolicy = BatchSizePolicy.POWER_OF_TWO,
-    solver: str = "ilp",
 ) -> ExplainResult:
     """Run WD on a small network with provenance enabled and report *why*.
 
     Captures the full decision log -- per-kernel Pareto fronts, every
-    rejected/dominated candidate, the ILP's proof statistics, and the chosen
+    rejected/dominated candidate, the MCKP solve's statistics, and the chosen
     configuration -- under a :class:`~repro.telemetry.clock.ManualClock`, so
     the serialized report is byte-deterministic (two runs produce identical
     JSON; the ``--diff`` report of a run against itself is empty).
@@ -862,14 +859,13 @@ def explain_report(
     geoms = conv_geometries_of(builders[model], batch, gpu, forward_only=True)
     handle = CudnnHandle(gpu=Gpu.create(gpu), mode=ExecMode.TIMING)
     with observability.capture(clock=ManualClock()) as recorder:
-        optimize_network_wd(
-            handle, geoms, total_workspace_mib * MIB,
-            policy=policy, solver=solver,
+        plan = optimize_network_wd(
+            handle, geoms, total_workspace_mib * MIB, policy=policy,
         )
     report = R.build_report(
         recorder,
         model=model, gpu=gpu, batch=batch, policy=policy.value,
-        scheme="wd", solver=solver,
+        scheme="wd", solver=plan.wd.solver,
         total_workspace_bytes=total_workspace_mib * MIB,
     )
     columns, rows = R.table_rows(report)

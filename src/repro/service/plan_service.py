@@ -54,6 +54,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import threading
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
@@ -232,6 +233,13 @@ class PlanService:
         #: populated while telemetry is enabled and requests are traced, so
         #: the untraced path never touches it).
         self._coalesced_traces: dict[PlanKey, list[str]] = {}
+        #: The one undivided fallback of each solve, shared by every
+        #: threaded waiter that degrades off it; keyed by the solve's future
+        #: and gone once no ticket holds that future.
+        self._fallbacks: weakref.WeakKeyDictionary[
+            Future[tuple[Configuration, float, float]],
+            Future[tuple[Configuration, float]],
+        ] = weakref.WeakKeyDictionary()
         self._pending = 0
         self._closed = False
         #: Incremental re-optimizer: re-solves invalidated plans from its
@@ -620,7 +628,7 @@ class PlanService:
             with self._lock:
                 self._pending -= 1
         if reason:
-            configuration, solve_seconds = self._fallback(ticket, reason)
+            configuration, solve_seconds = self._shared_fallback(ticket, reason)
             return self._served(
                 ticket, configuration, "fallback", solve_seconds,
                 self.clock.now() - ticket.submitted_at, fallback_reason=reason,
@@ -633,6 +641,36 @@ class PlanService:
         return self._served(ticket, configuration, ticket.source,
                             solve_seconds, now - ticket.submitted_at,
                             stages=stages)
+
+    def _shared_fallback(
+        self, ticket: PlanTicket, reason: str
+    ) -> tuple[Configuration, float]:
+        """Fallback stage of the threaded path: one per solve, as in a wave.
+
+        The first waiter of a solve to degrade runs :meth:`_fallback`; the
+        coalesced waiters that degrade after it reuse its plan.  If that
+        first fallback raises (fallbacks disabled, or the undivided plan
+        does not fit), each later waiter runs its own, so every raising
+        request keeps its own error and ring record.
+        """
+        assert ticket.future is not None
+        with self._lock:
+            shared = self._fallbacks.get(ticket.future)
+            first = shared is None
+            if shared is None:
+                shared = self._fallbacks[ticket.future] = Future()
+        if not first:
+            try:
+                return shared.result()
+            except (DeadlineExceededError, SolverError):
+                return self._fallback(ticket, reason)
+        try:
+            fallback = self._fallback(ticket, reason)
+        except BaseException as exc:
+            shared.set_exception(exc)
+            raise
+        shared.set_result(fallback)
+        return fallback
 
     def request(self, request: PlanRequest) -> PlanResponse:
         """Submit and wait: the blocking client call.

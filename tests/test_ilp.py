@@ -10,9 +10,9 @@ from repro.core.ilp import (
     ILPSolution,
     ZeroOneProblem,
     solve_branch_and_bound,
-    solve_exhaustive,
 )
 from repro.errors import SolverError
+from tests.solver_reference import solve_exhaustive
 
 
 def knapsack(costs, weights, capacity, groups=None):

@@ -177,7 +177,7 @@ class TestExplainReport:
         assert sum(c["rejected_workspace"] for c in counts) > 0
         events = {e["event"] for e in run_a.report["events"]}
         assert {"pass.begin", "pass.end", "front", "chosen",
-                "kernel.baseline", "solver.ilp"} <= events
+                "kernel.baseline", "solver.mckp"} <= events
 
     def test_json_round_trip(self, run_a):
         assert R.from_json(run_a.to_json()) == run_a.report

@@ -7,7 +7,6 @@ from repro.core.options import (
     ENV_BENCHMARK_DEVICES,
     ENV_POLICY,
     ENV_TOTAL_WORKSPACE,
-    ENV_WD_SOLVER,
     ENV_WORKSPACE_LIMIT,
     Options,
 )
@@ -22,7 +21,6 @@ class TestDefaults:
         assert opts.workspace_limit == CAFFE2_DEFAULT_WORKSPACE
         assert opts.total_workspace is None
         assert not opts.use_wd
-        assert opts.wd_solver == "ilp"
 
     def test_wd_enabled_by_total_workspace(self):
         assert Options(total_workspace=120 * MIB).use_wd
@@ -42,8 +40,10 @@ class TestValidation:
             Options(benchmark_devices=0)
 
     def test_solver_name(self):
-        with pytest.raises(ValueError):
+        """WD has one solver: a solver name is not an option."""
+        with pytest.raises(TypeError):
             Options(wd_solver="glpk")
+        assert Options.from_env({"UCUDNN_WD_SOLVER": "ilp"}) == Options()
 
 
 class TestFromEnv:
@@ -57,7 +57,6 @@ class TestFromEnv:
             ENV_TOTAL_WORKSPACE: str(120 * MIB),
             ENV_BENCHMARK_DB: "/tmp/db.json",
             ENV_BENCHMARK_DEVICES: "4",
-            ENV_WD_SOLVER: "mckp",
         }
         opts = Options.from_env(env)
         assert opts.policy == BatchSizePolicy.ALL
@@ -66,7 +65,6 @@ class TestFromEnv:
         assert opts.use_wd
         assert opts.benchmark_db == "/tmp/db.json"
         assert opts.benchmark_devices == 4
-        assert opts.wd_solver == "mckp"
 
     def test_paper_policy_spelling(self):
         opts = Options.from_env({ENV_POLICY: "powerOfTwo"})

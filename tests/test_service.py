@@ -8,6 +8,7 @@ provenance marker, admission control refuses every over-limit request with
 byte-deterministic under a :class:`~repro.telemetry.clock.ManualClock`.
 """
 
+import sys
 import threading
 
 import pytest
@@ -383,6 +384,75 @@ class TestOnePipeline:
         finally:
             release.set()
             svc.close()
+
+    @pytest.mark.parametrize("path", ["request", "wave"])
+    def test_one_fallback_per_key(self, path):
+        """Coalesced requests past their deadline share one solver
+        invocation and one undivided fallback on either path (threaded
+        waiters race for it under a short switch interval)."""
+        release = threading.Event()
+
+        def stalled(request):
+            if path == "request":  # real time: outlive the deadline
+                assert release.wait(timeout=10)
+            return fake_config(), 10.0  # simulated time: past it
+
+        svc = PlanService(clock=ManualClock(), solve_fn=stalled)
+        requests = [make_request(deadline_s=0.05) for _ in range(6)]
+        switch_interval = sys.getswitchinterval()
+        try:
+            if path == "request":
+                sys.setswitchinterval(1e-6)
+                tickets = [svc.submit(request) for request in requests]
+                responses = [None] * len(tickets)
+
+                def wait(i):
+                    responses[i] = svc.wait(tickets[i])
+
+                waiters = [threading.Thread(target=wait, args=(i,))
+                           for i in range(len(tickets))]
+                for waiter in waiters:
+                    waiter.start()
+                for waiter in waiters:
+                    waiter.join(timeout=10)
+                    assert not waiter.is_alive()
+            else:
+                wave = svc.wave()
+                for request in requests:
+                    wave.add(request)
+                responses = wave.serve()
+        finally:
+            sys.setswitchinterval(switch_interval)
+            release.set()
+            svc.close()
+        assert svc.stats.solver_invocations == 1
+        assert svc.stats.fallback_solves == 1
+        assert svc.stats.fallbacks_timeout == len(requests)
+        assert [r.source for r in responses] == ["fallback"] * len(requests)
+        assert len({r.configuration for r in responses}) == 1
+
+    def test_coalesced_waiters_each_raise_without_fallback(self):
+        """With fallbacks disabled no plan is shared: every coalesced
+        waiter past its deadline raises and counts its own error."""
+        release = threading.Event()
+
+        def stalled(request):
+            assert release.wait(timeout=10)
+            return fake_config(), 0.1
+
+        svc = PlanService(clock=ManualClock(), fallback=False,
+                          solve_fn=stalled)
+        try:
+            tickets = [svc.submit(make_request(deadline_s=0.05))
+                       for _ in range(3)]
+            for ticket in tickets:
+                with pytest.raises(DeadlineExceededError):
+                    svc.wait(ticket)
+        finally:
+            release.set()
+            svc.close()
+        assert svc.stats.deadline_errors == 3
+        assert svc.stats.fallback_solves == 0
 
     @pytest.mark.parametrize("path", ["request", "wave"])
     def test_stats_equal_their_counters(self, path):

@@ -8,8 +8,10 @@ single-kernel networks, and all-infeasible limits.  The
 :class:`~repro.core.tensor_solve.DeltaSolver` additionally promises that
 any sequence of solves and single-kernel mutations yields the answers a
 from-scratch serial solve would, while provably skipping the untouched
-kernels.  These tests pit every backend against its reference on
-hypothesis-generated workloads.
+kernels.  The vectorized MCKP merge of :mod:`repro.core.mckp` is held to
+the serial merge of :mod:`tests.solver_reference` the same way.  These
+tests pit every backend against its reference on hypothesis-generated
+workloads.
 """
 
 import dataclasses
@@ -34,6 +36,7 @@ from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.errors import OptimizationError, SolverError
 from repro.units import MIB
 from tests.conftest import make_geometry
+from tests.solver_reference import solve_mckp_serial
 from tests.test_optimizer_properties import model_geometry
 
 SETTINGS = dict(max_examples=10, deadline=None)
@@ -162,8 +165,6 @@ class TestTensorWR:
             optimize_network_wr(handle, {"k": g}, MIB, backend="simd")
         with pytest.raises(SolverError):
             sweep_network_wr(handle, {"k": g}, [MIB], backend="simd")
-        with pytest.raises(SolverError):
-            solve_mckp([[MCKPItem(1.0, 1, 0)]], 1, backend="simd")
 
 
 #: Random MCKP instances: a few groups of items with small weights so both
@@ -189,16 +190,13 @@ class TestTensorMCKP:
             for items in raw
         ]
         try:
-            serial = solve_mckp(groups, capacity, max_front=max_front,
-                                backend="serial")
+            serial = solve_mckp_serial(groups, capacity, max_front=max_front)
         except SolverError as exc:
             with pytest.raises(SolverError) as raised:
-                solve_mckp(groups, capacity, max_front=max_front,
-                           backend="tensor")
+                solve_mckp(groups, capacity, max_front=max_front)
             assert str(raised.value) == str(exc)
             return
-        tensor = solve_mckp(groups, capacity, max_front=max_front,
-                            backend="tensor")
+        tensor = solve_mckp(groups, capacity, max_front=max_front)
         assert tensor.selection == serial.selection
         assert tensor.cost == serial.cost
         assert tensor.weight == serial.weight
@@ -206,11 +204,11 @@ class TestTensorMCKP:
 
     def test_error_messages_pinned(self):
         with pytest.raises(SolverError, match="at least one group"):
-            solve_mckp([], 10, backend="tensor")
+            solve_mckp([], 10)
         with pytest.raises(SolverError, match="group 1 is empty"):
-            solve_mckp([[MCKPItem(1.0, 1, 0)], []], 10, backend="tensor")
+            solve_mckp([[MCKPItem(1.0, 1, 0)], []], 10)
         with pytest.raises(SolverError, match="no item combination fits"):
-            solve_mckp([[MCKPItem(1.0, 5, 0)]], 3, backend="tensor")
+            solve_mckp([[MCKPItem(1.0, 5, 0)]], 3)
 
 
 def mutate(bench, factor):
