@@ -16,6 +16,7 @@ from repro.core.optimizer import (
     NetworkPlan,
     optimize_network_wd,
     optimize_network_wr,
+    prepare_wd_kernels,
 )
 from repro.core.options import Options
 from repro.core.pareto import configuration_front, desirable_set, pareto_front
@@ -32,7 +33,6 @@ from repro.core.sweep import (
     WDSweep,
     WRNetworkSweep,
     WRSweep,
-    prepare_wd_kernels,
     sweep_network_wd,
     sweep_network_wr,
     sweep_wd,

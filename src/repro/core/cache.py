@@ -9,13 +9,14 @@ across a homogeneous GPU cluster via a network filesystem.
 Keys incorporate the GPU model and the full kernel geometry (including the
 micro-batch size being measured); configuration cache keys additionally
 carry the optimizer inputs (policy, workspace limit, WR/WD).  The file
-format is a single JSON document, written atomically (write-to-temp +
-rename) so concurrent readers on a shared filesystem never observe a torn
-file.
+format is a single JSON document, written atomically and durably
+(:func:`write_atomic`: fsynced temp file + rename + directory fsync) so
+concurrent readers on a shared filesystem never observe a torn file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -33,6 +34,36 @@ from repro.errors import CacheError
 from repro.telemetry.locks import blocking, new_lock
 
 _FORMAT_VERSION = 1
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Durably replace ``path`` with ``text``, all or nothing.
+
+    The text goes to a temp file beside ``path``, which is fsynced and then
+    renamed over ``path`` with ``os.replace``; the directory is fsynced
+    last so the rename itself survives a crash.  Readers, and a reload
+    after a failure at any step, see the old complete file or the new one.
+    A failure before the rename removes the temp file and re-raises.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=str(path.parent), prefix=path.name, suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _bench_key(gpu_name: str, geometry: ConvGeometry) -> str:
@@ -407,7 +438,8 @@ class BenchmarkCache:
                 with telemetry.span(
                     "cache.save", path=str(self.path), entries=entries
                 ):
-                    self._save(payload)
+                    blocking("cache.save")
+                    write_atomic(self.path, json.dumps(payload))
             except BaseException:
                 with self._lock:
                     self._dirty = True  # the state never reached disk
@@ -440,23 +472,6 @@ class BenchmarkCache:
                     key: dict(value) for key, value in self._configs.items()
                 },
             }
-
-    def _save(self, payload: dict) -> None:
-        blocking("cache.save")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def load(self) -> None:
         """Load (replacing in-memory state) from :attr:`path`.

@@ -35,9 +35,9 @@ from repro.core import convolution as uconv
 from repro.core.benchmarker import benchmark_kernel
 from repro.core.cache import BenchmarkCache
 from repro.core.config import Configuration
+from repro.core.optimizer import prepare_wd_kernels
 from repro.core.options import Options
-from repro.core.pareto import desirable_set
-from repro.core.wd import WDKernel, WDResult, solve_from_kernels
+from repro.core.wd import WDResult, solve_from_kernels
 from repro.core.wr import optimize_from_benchmark
 from repro.cudnn import api
 from repro.cudnn.descriptors import (
@@ -195,17 +195,13 @@ class UcudnnHandle:
             "ucudnn.optimize", scheme="wd", kernels=len(self._registered),
             total_workspace=total,
         ):
-            kernels: list[WDKernel] = []
-            for g in self._registered:
-                bench = benchmark_kernel(
-                    self.inner, g, self.options.policy, cache=self.cache,
-                    deterministic_only=self.options.deterministic,
-                )
-                self.benchmark_time += bench.benchmark_time
-                front = desirable_set(bench, workspace_limit=total)
-                kernels.append(
-                    WDKernel(key=g.cache_key(), geometry=g, benchmark=bench, desirable=front)
-                )
+            kernels = prepare_wd_kernels(
+                self.inner, {g.cache_key(): g for g in self._registered},
+                self.options.policy, cache=self.cache, workspace_limit=total,
+                deterministic_only=self.options.deterministic,
+            )
+            for kernel in kernels:
+                self.benchmark_time += kernel.benchmark.benchmark_time
             result = solve_from_kernels(kernels, total)
         self.wd_result = result
         for kernel in kernels:

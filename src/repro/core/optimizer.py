@@ -17,14 +17,12 @@ import repro.telemetry as telemetry
 from repro.core.benchmarker import benchmark_kernel
 from repro.core.cache import BenchmarkCache
 from repro.core.config import Configuration
-from repro.core.pareto import desirable_set
+from repro.core.pareto import desirable_set, record_pareto_provenance
 from repro.core.policies import BatchSizePolicy
-from repro.core.tensor_solve import solve_network_wr
+from repro.core.tensor_solve import bench_fingerprint, solve_network_wr
 from repro.core.wd import WDKernel, WDResult, solve_from_kernels
-from repro.core.wr import optimize_from_benchmark
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.handle import CudnnHandle
-from repro.errors import SolverError
 
 
 @dataclass
@@ -80,21 +78,15 @@ def optimize_network_wr(
     workspace_limit: int,
     policy: BatchSizePolicy = BatchSizePolicy.POWER_OF_TWO,
     cache: BenchmarkCache | None = None,
-    backend: str = "serial",
 ) -> NetworkPlan:
     """WR: each kernel gets its own ``workspace_limit``-byte slot.
 
-    ``backend="serial"`` (default) runs one Python DP per kernel;
-    ``"tensor"`` solves every kernel in one vectorized pass
-    (:func:`~repro.core.tensor_solve.solve_network_wr`).  Plans are
-    bit-identical; on failure both raise the same error for the first
-    failing kernel in input order (the tensor path benchmarks every kernel
-    before raising, the serial path stops at the failure).
+    Every kernel is benchmarked, then all are solved in one vectorized
+    pass (:func:`~repro.core.tensor_solve.solve_network_wr`), bit-identical
+    to one :func:`~repro.core.wr.optimize_from_benchmark` per kernel.  On
+    failure it raises that solver's error for the first failing kernel in
+    input order.
     """
-    if backend not in ("serial", "tensor"):
-        raise SolverError(
-            f"unknown WR backend {backend!r}; use 'serial' or 'tensor'"
-        )
     plan = NetworkPlan(scheme="wr", policy=policy)
     rec = observability.recorder()
     pid = -1
@@ -107,45 +99,22 @@ def optimize_network_wr(
         "optimize.network", scheme="wr", kernels=len(geometries),
         policy=policy.value, workspace_limit=workspace_limit,
     ) as tspan:
-        if backend == "tensor":
-            benches = {
-                name: benchmark_kernel(handle, g, policy, cache=cache)
-                for name, g in geometries.items()
-            }
-            plan.benchmark_time = sum(
-                b.benchmark_time for b in benches.values()
+        benches = {
+            name: benchmark_kernel(handle, g, policy, cache=cache)
+            for name, g in geometries.items()
+        }
+        plan.benchmark_time = sum(b.benchmark_time for b in benches.values())
+        configs = solve_network_wr(benches, workspace_limit)
+        for name, g in geometries.items():
+            undivided = benches[name].fastest_micro(g.n, workspace_limit)
+            plan.kernels.append(
+                KernelPlan(
+                    name=name,
+                    geometry=g,
+                    configuration=configs[name],
+                    undivided_time=undivided.time if undivided else math.inf,
+                )
             )
-            configs = solve_network_wr(benches, workspace_limit)
-            for name, g in geometries.items():
-                undivided = benches[name].fastest_micro(g.n, workspace_limit)
-                plan.kernels.append(
-                    KernelPlan(
-                        name=name,
-                        geometry=g,
-                        configuration=configs[name],
-                        undivided_time=(
-                            undivided.time if undivided else math.inf
-                        ),
-                    )
-                )
-        else:
-            for name, g in geometries.items():
-                bench = benchmark_kernel(handle, g, policy, cache=cache)
-                plan.benchmark_time += bench.benchmark_time
-                config = optimize_from_benchmark(
-                    bench, workspace_limit, kernel=name
-                )
-                undivided = bench.fastest_micro(g.n, workspace_limit)
-                plan.kernels.append(
-                    KernelPlan(
-                        name=name,
-                        geometry=g,
-                        configuration=config,
-                        undivided_time=(
-                            undivided.time if undivided else math.inf
-                        ),
-                    )
-                )
         tspan.set("benchmark_seconds", plan.benchmark_time)
         tspan.set("total_time", plan.total_time)
     if rec:
@@ -168,6 +137,48 @@ def _record_network_baselines(rec, pid: int, plan: NetworkPlan) -> None:
     )
 
 
+def prepare_wd_kernels(
+    handle: CudnnHandle,
+    geometries: dict[str, ConvGeometry],
+    policy: BatchSizePolicy = BatchSizePolicy.POWER_OF_TWO,
+    cache: BenchmarkCache | None = None,
+    workspace_limit: int | None = None,
+    max_front: int | None = None,
+    deterministic_only: bool = False,
+) -> list[WDKernel]:
+    """Benchmark every kernel and attach its desirable set: WD's input.
+
+    Every kernel is benchmarked (so ``benchmark_time`` and cache accounting
+    count each one), but the front is built once per distinct kernel:
+    replicas (ResNet's repeated blocks) with equal geometry and equal
+    benchmark rows share one front list.  Replicas whose rows differ -- a
+    noisy handle without a cache -- get their own.  ``workspace_limit``
+    caps the fronts at a WD pool; ``None`` keeps the full, limit-free
+    fronts that :func:`~repro.core.sweep.sweep_wd` cuts per limit.
+    Provenance stays per kernel: a replica's ``pareto`` pass is replayed
+    from the shared front.
+    """
+    kernels: list[WDKernel] = []
+    fronts: dict[tuple, list[Configuration]] = {}
+    rec = observability.recorder()
+    for name, g in geometries.items():
+        bench = benchmark_kernel(handle, g, policy, cache=cache,
+                                 deterministic_only=deterministic_only)
+        distinct = (g.cache_key(), bench_fingerprint(bench))
+        front = fronts.get(distinct)
+        if front is None:
+            front = fronts[distinct] = desirable_set(
+                bench, workspace_limit=workspace_limit, max_front=max_front,
+                kernel=name,
+            )
+        elif rec:
+            record_pareto_provenance(rec, bench, workspace_limit, front, name)
+        kernels.append(
+            WDKernel(key=name, geometry=g, benchmark=bench, desirable=front)
+        )
+    return kernels
+
+
 def optimize_network_wd(
     handle: CudnnHandle,
     geometries: dict[str, ConvGeometry],
@@ -182,7 +193,6 @@ def optimize_network_wd(
     ``solver`` is ``"mckp"`` (production) or ``"ilp"`` (branch-and-bound);
     see :func:`~repro.core.wd.solve_from_kernels`.
     """
-    plan = NetworkPlan(scheme="wd", policy=policy)
     rec = observability.recorder()
     pid = -1
     if rec:
@@ -194,31 +204,43 @@ def optimize_network_wd(
         "optimize.network", scheme="wd", kernels=len(geometries),
         policy=policy.value, total_workspace=total_workspace,
     ) as tspan:
-        wd_kernels: list[WDKernel] = []
-        undivided: dict[str, float] = {}
-        for name, g in geometries.items():
-            bench = benchmark_kernel(handle, g, policy, cache=cache)
-            plan.benchmark_time += bench.benchmark_time
-            front = desirable_set(bench, workspace_limit=total_workspace,
-                                  max_front=max_front, kernel=name)
-            wd_kernels.append(
-                WDKernel(key=name, geometry=g, benchmark=bench, desirable=front)
-            )
-            micro = bench.fastest_micro(g.n, total_workspace)
-            undivided[name] = micro.time if micro else math.inf
-        result = solve_from_kernels(wd_kernels, total_workspace, solver=solver)
-        plan.wd = result
-        for kernel in wd_kernels:
-            plan.kernels.append(
-                KernelPlan(
-                    name=kernel.key,
-                    geometry=kernel.geometry,
-                    configuration=result.assignments[kernel.key],
-                    undivided_time=undivided[kernel.key],
-                )
-            )
+        kernels = prepare_wd_kernels(
+            handle, geometries, policy, cache=cache,
+            workspace_limit=total_workspace, max_front=max_front,
+        )
+        plan = wd_network_plan(
+            policy, kernels,
+            solve_from_kernels(kernels, total_workspace, solver=solver),
+        )
         tspan.set("benchmark_seconds", plan.benchmark_time)
         tspan.set("total_time", plan.total_time)
     if rec:
         _record_network_baselines(rec, pid, plan)
+    return plan
+
+
+def wd_network_plan(
+    policy: BatchSizePolicy, kernels: list[WDKernel], result: WDResult
+) -> NetworkPlan:
+    """The network plan of a WD result over prepared kernels.
+
+    Each kernel's undivided baseline is its fastest single micro-batch
+    under the whole pool, as cuDNN alone would pick with that much memory.
+    """
+    plan = NetworkPlan(
+        scheme="wd", policy=policy, wd=result,
+        benchmark_time=sum(k.benchmark.benchmark_time for k in kernels),
+    )
+    for kernel in kernels:
+        micro = kernel.benchmark.fastest_micro(
+            kernel.geometry.n, result.total_workspace_limit
+        )
+        plan.kernels.append(
+            KernelPlan(
+                name=kernel.key,
+                geometry=kernel.geometry,
+                configuration=result.assignments[kernel.key],
+                undivided_time=micro.time if micro else math.inf,
+            )
+        )
     return plan

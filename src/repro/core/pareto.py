@@ -68,11 +68,24 @@ def configuration_front(configs: Iterable[Configuration]) -> list[Configuration]
     return pareto_front(configs, lambda c: c.time, lambda c: c.workspace)
 
 
-def _array_front(times: "np.ndarray", wss: "np.ndarray"):
+def _array_front(
+    times: np.ndarray, wss: np.ndarray,
+    exact_times: Callable[[np.ndarray], list[int]],
+) -> np.ndarray:
     """Indices of the Pareto-undominated points (vectorized).
 
     Sort by (workspace, time); a point survives iff its time strictly beats
     every time at smaller-or-equal workspace, i.e. the running minimum.
+
+    A float tie need not be an exact tie: three 0.01 s micro-batches sum to
+    the float 0.03, yet exactly they are 2**-59 s slower than one 0.03 s
+    micro-batch.  So where a float time ties the running minimum, exact
+    times (``exact_times(indices)``, integers on a common scale) decide.  A
+    tie group is the point that lowered the running minimum to a value plus
+    every later point tying it; all other points are decided by float time
+    (earlier ones are slower, later ones faster at a larger workspace).
+    Within a group, the exact front in (workspace, exact time, position)
+    order replaces the float decision, so exact ties keep the first point.
     """
     order = np.lexsort((times, wss))
     t_sorted = times[order]
@@ -80,6 +93,23 @@ def _array_front(times: "np.ndarray", wss: "np.ndarray"):
     keep = np.empty(len(order), dtype=bool)
     keep[0] = True
     keep[1:] = t_sorted[1:] < cummin[:-1]
+    groups: dict[float, list[int]] = {}
+    for pos in (np.flatnonzero(t_sorted[1:] == cummin[:-1]) + 1).tolist():
+        value = float(cummin[pos - 1])
+        if value not in groups:
+            # cummin is non-increasing: its first position at this value is
+            # where the group's first point lowered it.
+            groups[value] = [int(np.searchsorted(-cummin[:pos], -value))]
+        groups[value].append(pos)
+    for members in groups.values():
+        points = order[members]
+        best = None
+        for _, exact, pos in sorted(
+            zip(wss[points].tolist(), exact_times(points), members)
+        ):
+            keep[pos] = best is None or exact < best
+            if keep[pos]:
+                best = exact
     return order[keep]
 
 
@@ -112,12 +142,16 @@ def desirable_set(
         )
     rec = observability.recorder()
     if rec:
-        _record_pareto_provenance(rec, benchmark, workspace_limit, front, kernel)
+        record_pareto_provenance(rec, benchmark, workspace_limit, front, kernel)
     return front
 
 
-def _record_pareto_provenance(
-    rec, benchmark, workspace_limit, front, kernel=None
+def record_pareto_provenance(
+    rec: observability.ProvenanceRecorder,
+    benchmark: KernelBenchmark,
+    workspace_limit: int | None,
+    front: list[Configuration],
+    kernel: str | None = None,
 ) -> None:
     """Post-hoc decision log for one desirable-set pass (provenance on only).
 
@@ -224,29 +258,46 @@ def _desirable_set(
     empty = (np.empty(0), np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64))
     fronts: list[tuple] = [empty] * (batch + 1)
     fronts[0] = (np.zeros(1), np.zeros(1, dtype=np.int64), np.full((1, 3), -1, np.int64))
+    front_len = np.zeros(batch + 1, dtype=np.int64)
+    front_len[0] = 1
+
+    # Exact times for _array_front's float ties: each option time as an
+    # integer multiple of the finest power of two among their denominators,
+    # so sums are exact.  A candidate walks its parent pointers.
+    ratios = [float(t).as_integer_ratio() for t in opt_time]
+    finest = max(den for _, den in ratios)
+    exact_options = [num * (finest // den) for num, den in ratios]
+
+    def exact_times(links: np.ndarray) -> list[int]:
+        out = []
+        for state, row, opt_id in links.tolist():
+            total = exact_options[opt_id]
+            while state > 0:
+                state, row, opt_id = fronts[state][2][row].tolist()
+                total += exact_options[opt_id]
+            out.append(total)
+        return out
 
     for i in range(1, batch + 1):
-        cand_t, cand_w, cand_p = [], [], []
-        for j in range(len(micro_options)):
-            m = int(opt_size[j])
-            if m > i:
-                continue
-            pt, pw, _ = fronts[i - m]
-            if len(pt) == 0:
-                continue
-            cand_t.append(pt + opt_time[j])
-            cand_w.append(np.maximum(pw, opt_ws[j]))
-            parents = np.empty((len(pt), 3), dtype=np.int64)
-            parents[:, 0] = i - m
-            parents[:, 1] = np.arange(len(pt))
-            parents[:, 2] = j
-            cand_p.append(parents)
-        if not cand_t:
+        # Candidates c ⊕ o for every option o (id j, size m <= i) and every
+        # c in D(i - m), gathered as whole parent fronts and expanded once.
+        opt_ids = np.flatnonzero(opt_size <= i)
+        opt_ids = opt_ids[front_len[i - opt_size[opt_ids]] > 0]
+        if len(opt_ids) == 0:
             continue
-        times = np.concatenate(cand_t)
-        wss = np.concatenate(cand_w)
-        parents = np.concatenate(cand_p)
-        keep = _array_front(times, wss)
+        prev_states = i - opt_size[opt_ids]
+        counts = front_len[prev_states]
+        starts = np.cumsum(counts) - counts
+        parents = np.empty((int(counts.sum()), 3), dtype=np.int64)
+        parents[:, 0] = np.repeat(prev_states, counts)
+        parents[:, 1] = np.arange(len(parents)) - np.repeat(starts, counts)
+        parents[:, 2] = np.repeat(opt_ids, counts)
+        prev = prev_states.tolist()
+        times = (np.concatenate([fronts[state][0] for state in prev])
+                 + opt_time[parents[:, 2]])
+        wss = np.maximum(np.concatenate([fronts[state][1] for state in prev]),
+                         opt_ws[parents[:, 2]])
+        keep = _array_front(times, wss, lambda c: exact_times(parents[c]))
         if max_front is not None and len(keep) > max_front:
             # Evenly spread by rank, always retaining the fastest (last).
             picks = np.unique(
@@ -254,6 +305,7 @@ def _desirable_set(
             )
             keep = keep[picks]
         fronts[i] = (times[keep], wss[keep], parents[keep])
+        front_len[i] = len(keep)
 
     final_t, final_w, _ = fronts[batch]
     if len(final_t) == 0:

@@ -54,25 +54,25 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
 import repro.observability as observability
 import repro.telemetry as telemetry
 from repro.core.benchmarker import KernelBenchmark, benchmark_kernel
 from repro.core.config import Configuration
-from repro.core.ilp import ZeroOneProblem, solve_branch_and_bound
-from repro.core.mckp import MCKPItem, solve_mckp
-from repro.core.optimizer import KernelPlan, NetworkPlan
+from repro.core.optimizer import (
+    KernelPlan,
+    NetworkPlan,
+    prepare_wd_kernels,
+    wd_network_plan,
+)
 from repro.core.pareto import desirable_set
 from repro.core.policies import BatchSizePolicy
 from repro.core.tensor_solve import solve_network_wr_outcomes
-from repro.core.wd import WDKernel, WDResult, symmetry_class_key
+from repro.core.wd import WDKernel, WDResult, solve_groups, symmetry_class_key
 from repro.core.wr import optimize_from_benchmark
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.handle import CudnnHandle
 from repro.errors import InfeasibleError, OptimizationError, SolverError
 from repro.telemetry.clock import Clock, WallClock
-from repro.units import MIB
 
 if TYPE_CHECKING:
     from repro.core.cache import BenchmarkCache
@@ -305,7 +305,11 @@ def sweep_network_wr(
     Python DP per occupied interval per distinct kernel; ``"tensor"``
     answers each occupied *network-union* interval with one tensorized
     network solve (see :func:`_tensor_shared_sweeps`) -- identical plans
-    and error types, and what BENCH_tensor measures.
+    and error types, and what BENCH_tensor measures.  Unlike
+    :func:`~repro.core.optimizer.optimize_network_wr`, which always solves
+    in one tensor pass, the sweep keeps both backends: the BENCH_sweep
+    gate ``wr.sweep_dp_solves`` counts the serial sweep's per-kernel DP
+    solves, and BENCH_tensor compares the two.
     """
     if backend not in ("serial", "tensor"):
         raise SolverError(
@@ -376,27 +380,6 @@ def sweep_network_wr(
 # ---------------------------------------------------------------------------
 
 
-def prepare_wd_kernels(
-    handle: CudnnHandle,
-    geometries: dict[str, ConvGeometry],
-    policy: BatchSizePolicy = BatchSizePolicy.POWER_OF_TWO,
-    cache: BenchmarkCache | None = None,
-) -> list[WDKernel]:
-    """Benchmark kernels and compute their *full* (limit-free) fronts.
-
-    The full front is limit-independent; per-limit desirable sets are
-    recovered by prefix truncation in :func:`sweep_wd`.
-    """
-    kernels: list[WDKernel] = []
-    for key, geometry in geometries.items():
-        bench = benchmark_kernel(handle, geometry, policy, cache=cache)
-        front = desirable_set(bench, workspace_limit=None)
-        kernels.append(
-            WDKernel(key=key, geometry=geometry, benchmark=bench, desirable=front)
-        )
-    return kernels
-
-
 def truncate_front(kernel: WDKernel, limit: int) -> WDKernel:
     """The kernel with its front truncated to ``workspace <= limit``.
 
@@ -461,8 +444,11 @@ def _merged_front(front: list[Configuration], multiplicity: int) -> list:
     ]
 
 
-def _aggregated_warm(items_per_class, offsets, prev_choice, num_variables):
-    """0-1 vector selecting the previous limit's class multisets, or None.
+def _aggregated_warm(
+    items_per_class: list[list[tuple[tuple[int, ...], float, int]]],
+    prev_choice: list[tuple[int, ...]] | None,
+) -> list[int] | None:
+    """Per-class picks of the previous limit's class multisets, or None.
 
     The previous counts are padded with zeros to the current (longer)
     prefix length; a multiset that got Pareto-dominated once the larger
@@ -470,74 +456,16 @@ def _aggregated_warm(items_per_class, offsets, prev_choice, num_variables):
     """
     if prev_choice is None:
         return None
-    x = np.zeros(num_variables)
-    for items, offset, counts in zip(items_per_class, offsets, prev_choice):
-        if counts is None:
-            return None
-        width = len(items[0][0])
-        padded = counts + (0,) * (width - len(counts))
+    picks = []
+    for items, counts in zip(items_per_class, prev_choice):
+        padded = counts + (0,) * (len(items[0][0]) - len(counts))
         for var, (item_counts, _, _) in enumerate(items):
             if item_counts == padded:
-                x[offset + var] = 1.0
+                picks.append(var)
                 break
         else:
             return None
-    return x
-
-
-def _solve_aggregated(class_list, fronts, items_per_class, limit, solver,
-                      prev_choice):
-    """One symmetry-reduced WD solve; returns per-class counts + metadata."""
-    costs: list[float] = []
-    weights: list[float] = []
-    owner: list[int] = []
-    offsets: list[int] = []
-    for ci, items in enumerate(items_per_class):
-        offsets.append(len(costs))
-        for _, total_time, total_ws in items:
-            costs.append(total_time)
-            weights.append(total_ws / MIB)
-            owner.append(ci)
-    num_variables = len(costs)
-    warm_used = False
-    if solver == "ilp":
-        a_eq = np.zeros((len(class_list), num_variables))
-        for var, ci in enumerate(owner):
-            a_eq[ci, var] = 1.0
-        problem = ZeroOneProblem(
-            costs=np.asarray(costs),
-            a_ub=np.asarray(weights)[None, :],
-            b_ub=np.asarray([limit / MIB]),
-            a_eq=a_eq,
-            b_eq=np.ones(len(class_list)),
-        )
-        x0 = _aggregated_warm(items_per_class, offsets, prev_choice,
-                              num_variables)
-        warm_used = x0 is not None
-        solution = solve_branch_and_bound(problem, warm_start=x0)
-        chosen: list[tuple[int, ...] | None] = [None] * len(class_list)
-        for var in solution.selected():
-            ci = owner[var]
-            chosen[ci] = items_per_class[ci][var - offsets[ci]][0]
-    elif solver == "mckp":
-        groups = [
-            [
-                MCKPItem(cost=total_time, weight=total_ws, index=i)
-                for i, (_, total_time, total_ws) in enumerate(items)
-            ]
-            for items in items_per_class
-        ]
-        try:
-            sol = solve_mckp(groups, limit)
-        except SolverError as exc:
-            raise InfeasibleError(str(exc)) from exc
-        chosen = [
-            items_per_class[ci][pick][0] for ci, pick in enumerate(sol.selection)
-        ]
-        solution = None
-    else:
-        raise SolverError(f"unknown WD solver {solver!r}; use 'ilp' or 'mckp'")
-    return chosen, solution, num_variables, warm_used
+    return picks
 
 
 @dataclass
@@ -570,16 +498,17 @@ def sweep_wd(
 ) -> WDSweep:
     """WD-solve prepared kernels under every pooled limit in ``limits``.
 
-    ``kernels`` must carry *full* fronts (:func:`prepare_wd_kernels`).
+    ``kernels`` must carry *full* fronts
+    (:func:`~repro.core.optimizer.prepare_wd_kernels` without a limit).
     Fronts are truncated per limit by prefix; interchangeable kernels are
     aggregated into multiplicity-annotated classes (see the module
     docstring) so neither solver pays for permutation symmetry; limits are
     solved in ascending order so each ``solver="ilp"`` solve can be
     warm-started from the previous optimum, which stays feasible as the
     pool grows.  Assignments are identical to the per-limit
-    :func:`~repro.core.wd.optimize` (both emit the canonical symmetric
-    form).  ``results[limit].num_variables`` counts the aggregated ILP's
-    variables, which is at most the per-copy count.
+    :func:`~repro.core.optimizer.optimize_network_wd` (both emit the
+    canonical symmetric form).  ``results[limit].num_variables`` counts
+    the aggregated ILP's variables, which is at most the per-copy count.
     """
     limits = tuple(int(m) for m in limits)
     sweep = WDSweep(kernels=kernels, limits=limits)
@@ -628,11 +557,18 @@ def sweep_wd(
                 with telemetry.span(
                     "sweep.wd.limit", limit=limit, solver=solver
                 ) as lspan:
-                    chosen, solution, num_variables, warm_used = \
-                        _solve_aggregated(
-                            class_list, fronts, items_per_class, limit,
-                            solver, prev_choice,
-                        )
+                    warm = (_aggregated_warm(items_per_class, prev_choice)
+                            if solver == "ilp" else None)
+                    warm_used = warm is not None
+                    picks, solution = solve_groups(
+                        [[(t, w) for _, t, w in items]
+                         for items in items_per_class],
+                        limit, solver, warm_picks=warm,
+                    )
+                    chosen = [items[pick][0] for items, pick
+                              in zip(items_per_class, picks)]
+                    num_variables = sum(len(items)
+                                        for items in items_per_class)
                     lspan.set("variables", num_variables)
                     lspan.set("warm_start", warm_used)
             except (InfeasibleError, SolverError) as exc:
@@ -659,17 +595,7 @@ def sweep_wd(
             result = WDResult(
                 assignments=assignments,
                 total_workspace_limit=limit,
-                kernels=[
-                    WDKernel(
-                        key=k.key, geometry=k.geometry, benchmark=k.benchmark,
-                        desirable=k.desirable[
-                            :bisect.bisect_right(
-                                [c.workspace for c in k.desirable], limit
-                            )
-                        ],
-                    )
-                    for k in kernels
-                ],
+                kernels=[truncate_front(k, limit) for k in kernels],
                 num_variables=num_variables,
                 solver=solver,
                 solve_time=_CLOCK.now() - start,
@@ -724,20 +650,8 @@ def sweep_network_wd(
     """
     kernels = prepare_wd_kernels(handle, geometries, policy, cache=cache)
     sweep = sweep_wd(kernels, limits, solver=solver)
-    benchmark_time = sum(k.benchmark.benchmark_time for k in kernels)
-    plans: dict[int, NetworkPlan] = {}
-    for limit, result in sweep.results.items():
-        plan = NetworkPlan(scheme="wd", policy=policy,
-                           benchmark_time=benchmark_time, wd=result)
-        for kernel in kernels:
-            micro = kernel.benchmark.fastest_micro(kernel.geometry.n, limit)
-            plan.kernels.append(
-                KernelPlan(
-                    name=kernel.key,
-                    geometry=kernel.geometry,
-                    configuration=result.assignments[kernel.key],
-                    undivided_time=micro.time if micro else math.inf,
-                )
-            )
-        plans[limit] = plan
+    plans = {
+        limit: wd_network_plan(policy, kernels, result)
+        for limit, result in sweep.results.items()
+    }
     return sweep, plans

@@ -22,27 +22,21 @@ and the sweep benchmarks use it, and tests assert the two agree.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 import repro.observability as observability
 import repro.telemetry as telemetry
-from repro.core.benchmarker import KernelBenchmark, benchmark_kernel
+from repro.core.benchmarker import KernelBenchmark
 from repro.core.config import Configuration
 from repro.core.ilp import ILPSolution, ZeroOneProblem, solve_branch_and_bound
 from repro.core.mckp import MCKPItem, solve_mckp
-from repro.core.pareto import desirable_set
-from repro.core.policies import BatchSizePolicy
 from repro.cudnn.descriptors import ConvGeometry
-from repro.cudnn.handle import CudnnHandle
 from repro.errors import InfeasibleError, SolverError
 from repro.telemetry.clock import Clock, WallClock
 from repro.units import MIB
-
-if TYPE_CHECKING:
-    from repro.core.cache import BenchmarkCache
 
 #: Injected time source for ``solve_time`` diagnostics (never in results);
 #: swap for a ManualClock to make solver reports byte-reproducible.
@@ -83,37 +77,54 @@ class WDResult:
         return sum(c.workspace for c in self.assignments.values())
 
 
-def _build_problem(kernels: list[WDKernel], total_workspace: int):
-    """Flatten (kernel, configuration) pairs into ILP arrays."""
-    costs: list[float] = []
-    weights: list[float] = []
-    owner: list[int] = []
-    configs: list[Configuration] = []
-    for ki, kernel in enumerate(kernels):
-        if not kernel.desirable:
-            raise InfeasibleError(
-                f"kernel {kernel.key} has no feasible configuration under "
-                f"{total_workspace} bytes"
-            )
-        for config in kernel.desirable:
-            costs.append(config.time)
-            # Scale bytes to MiB for LP conditioning; exactness is preserved
-            # because feasibility is re-checked in exact byte arithmetic below.
-            weights.append(config.workspace / MIB)
-            owner.append(ki)
-            configs.append(config)
-    n = len(costs)
-    a_eq = np.zeros((len(kernels), n))
-    for var, ki in enumerate(owner):
-        a_eq[ki, var] = 1.0
+def solve_groups(
+    groups: list[list[tuple[float, int]]],
+    capacity: int,
+    solver: str = "mckp",
+    warm_picks: list[int] | None = None,
+) -> tuple[list[int], ILPSolution | None]:
+    """Pick one ``(time, workspace)`` item per group (Equations 1-4).
+
+    Least total time with the picked workspaces summing to at most
+    ``capacity`` bytes.  Returns each group's picked item index, plus the
+    branch-and-bound solution for ``solver="ilp"`` (``warm_picks`` seeds
+    its incumbent) or ``None`` for the MCKP merge.  An infeasible instance
+    raises :class:`~repro.errors.InfeasibleError`.
+    """
+    if solver == "mckp":
+        try:
+            sol = solve_mckp([
+                [MCKPItem(cost=t, weight=w, index=i)
+                 for i, (t, w) in enumerate(items)]
+                for items in groups
+            ], capacity)
+        except SolverError as exc:
+            raise InfeasibleError(str(exc)) from exc
+        return list(sol.selection), None
+    if solver != "ilp":
+        raise SolverError(f"unknown WD solver {solver!r}; use 'ilp' or 'mckp'")
+    owner = [gi for gi, items in enumerate(groups) for _ in items]
+    offsets = [0, *itertools.accumulate(len(items) for items in groups[:-1])]
+    a_eq = np.zeros((len(groups), len(owner)))
+    a_eq[owner, np.arange(len(owner))] = 1.0
     problem = ZeroOneProblem(
-        costs=np.asarray(costs),
-        a_ub=np.asarray(weights)[None, :],
-        b_ub=np.asarray([total_workspace / MIB]),
+        costs=np.asarray([t for items in groups for t, _ in items]),
+        # Bytes scaled to MiB for LP conditioning; callers re-check the
+        # picked workspace in exact bytes.
+        a_ub=np.asarray([[w / MIB for items in groups for _, w in items]]),
+        b_ub=np.asarray([capacity / MIB]),
         a_eq=a_eq,
-        b_eq=np.ones(len(kernels)),
+        b_eq=np.ones(len(groups)),
     )
-    return problem, owner, configs
+    warm = None
+    if warm_picks is not None:
+        warm = np.zeros(len(owner))
+        warm[[o + pick for o, pick in zip(offsets, warm_picks)]] = 1.0
+    solution = solve_branch_and_bound(problem, warm_start=warm)
+    picks = {owner[v]: v - offsets[owner[v]] for v in solution.selected()}
+    if len(picks) != len(groups):
+        raise SolverError("WD solver failed to assign every kernel")
+    return [picks[gi] for gi in range(len(groups))], solution
 
 
 def symmetry_class_key(kernel: WDKernel) -> tuple:
@@ -211,76 +222,34 @@ def _solve_from_kernels(
     kernels: list[WDKernel], total_workspace: int, solver: str
 ) -> WDResult:
     start = _CLOCK.now()
-    if solver == "ilp":
-        problem, owner, configs = _build_problem(kernels, total_workspace)
-        solution = solve_branch_and_bound(problem)
-        assignments: dict[str, Configuration] = {}
-        for var in solution.selected():
-            assignments[kernels[owner[var]].key] = configs[var]
-        ilp = solution
-        num_vars = problem.num_variables
-    elif solver == "mckp":
-        groups = [
-            [
-                MCKPItem(cost=c.time, weight=c.workspace, index=ci)
-                for ci, c in enumerate(kernel.desirable)
-            ]
-            for kernel in kernels
-        ]
-        try:
-            sol = solve_mckp(groups, total_workspace)
-        except SolverError as exc:
-            raise InfeasibleError(str(exc)) from exc
-        assignments = {
-            kernel.key: kernel.desirable[choice]
-            for kernel, choice in zip(kernels, sol.selection)
-        }
-        ilp = None
-        num_vars = sum(len(k.desirable) for k in kernels)
-    else:
-        raise SolverError(f"unknown WD solver {solver!r}; use 'ilp' or 'mckp'")
-
+    for kernel in kernels:
+        if not kernel.desirable:
+            raise InfeasibleError(
+                f"kernel {kernel.key} has no feasible configuration under "
+                f"{total_workspace} bytes"
+            )
+    picks, ilp = solve_groups(
+        [[(c.time, c.workspace) for c in k.desirable] for k in kernels],
+        total_workspace, solver,
+    )
+    assignments = {
+        kernel.key: kernel.desirable[pick]
+        for kernel, pick in zip(kernels, picks)
+    }
     canonicalize_symmetric(kernels, assignments)
     result = WDResult(
         assignments=assignments,
         total_workspace_limit=total_workspace,
         kernels=kernels,
-        num_variables=num_vars,
+        num_variables=sum(len(k.desirable) for k in kernels),
         solver=solver,
         solve_time=_CLOCK.now() - start,
         ilp=ilp,
         benchmark_time=sum(k.benchmark.benchmark_time for k in kernels),
     )
-    if len(result.assignments) != len(kernels):
-        raise SolverError("WD solver failed to assign every kernel")
     if result.total_workspace > total_workspace:
         raise InfeasibleError(
             f"WD solution uses {result.total_workspace} bytes > "
             f"limit {total_workspace}"
         )
     return result
-
-
-def optimize(
-    handle: CudnnHandle,
-    geometries: dict[str, ConvGeometry],
-    total_workspace: int,
-    policy: BatchSizePolicy = BatchSizePolicy.POWER_OF_TWO,
-    solver: str = "mckp",
-    cache: BenchmarkCache | None = None,
-    max_front: int | None = None,
-) -> WDResult:
-    """Benchmark, prune and solve WD for a whole network.
-
-    ``geometries`` maps a stable kernel key (e.g. ``"conv2:Forward"``) to its
-    geometry at the full mini-batch size.
-    """
-    kernels: list[WDKernel] = []
-    for key, geometry in geometries.items():
-        bench = benchmark_kernel(handle, geometry, policy, cache=cache)
-        front = desirable_set(bench, workspace_limit=total_workspace,
-                              max_front=max_front, kernel=key)
-        kernels.append(
-            WDKernel(key=key, geometry=geometry, benchmark=bench, desirable=front)
-        )
-    return solve_from_kernels(kernels, total_workspace, solver=solver)

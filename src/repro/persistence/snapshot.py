@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 import repro.telemetry as telemetry
-from repro.core.cache import BenchmarkCache
+from repro.core.cache import BenchmarkCache, write_atomic
 from repro.core.config import Configuration
 from repro.cudnn.device import gpu_spec
 from repro.cudnn.enums import BwdDataAlgo, BwdFilterAlgo, ConvType, FwdAlgo
@@ -287,27 +286,14 @@ def save_snapshot(path: "str | os.PathLike[str]", document: dict) -> Path:
 
     The document is validated *before* any bytes hit the disk -- a bug in
     the caller must not produce a file the loader will reject.  The write
-    is temp-file + ``os.replace`` in the destination directory, so readers
-    see either the old complete file or the new complete file, never a mix.
+    is :func:`~repro.core.cache.write_atomic` (fsynced temp file +
+    ``os.replace`` + directory fsync), so readers -- and a reload after a
+    crash -- see either the old complete file or the new one, never a mix.
     """
     validate_snapshot(document)
     blocking("snapshot.save")
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    payload = to_json(document)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(target.parent), prefix=target.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    write_atomic(target, to_json(document))
     telemetry.count("persistence.snapshot.saves",
                     help="snapshot documents written to disk")
     telemetry.event("persistence.snapshot.save", path=str(target),

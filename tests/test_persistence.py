@@ -8,6 +8,7 @@ and answers previously-seen requests with **zero** solver invocations
 errors rather than tracebacks.
 """
 
+import errno
 import json
 import os
 
@@ -193,6 +194,93 @@ class TestAtomicSave:
         path = tmp_path / "deep" / "nested" / "snap.json"
         assert save_snapshot(path, make_doc()) == path
         assert path.exists()
+
+
+class _TornFile:
+    """A file whose write stops halfway with a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "injected: no space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+#: Each step of the atomic write, in order; only a failure after the
+#: rename (the directory fsync) leaves the new state behind.
+WRITE_STEPS = ("write", "fsync", "replace", "dir-fsync")
+
+
+def fail_step(monkeypatch, step):
+    """Make one step of the next atomic write raise ``OSError``."""
+    if step == "write":
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(
+            os, "fdopen", lambda fd, mode: _TornFile(real_fdopen(fd, mode)))
+    elif step == "replace":
+        def replace(src, dst):
+            raise OSError(errno.EXDEV, "injected: cross-device link")
+        monkeypatch.setattr(os, "replace", replace)
+    else:
+        real_fsync = os.fsync
+        calls = []
+
+        def fsync(fd):
+            calls.append(fd)
+            if len(calls) == (1 if step == "fsync" else 2):
+                raise OSError(errno.EIO, "injected: I/O error")
+            real_fsync(fd)
+        monkeypatch.setattr(os, "fsync", fsync)
+
+
+class TestAtomicWriteFaults:
+    """Both on-disk writers (plan snapshots and the benchmark DB) share one
+    atomic writer: a failure at any step leaves the old or the new state
+    readable and no temp file behind."""
+
+    @pytest.mark.parametrize("step", WRITE_STEPS)
+    def test_snapshot_save(self, tmp_path, monkeypatch, step):
+        path = tmp_path / "snap.json"
+        old, new = make_doc(), make_doc(order=(0, 1, 2, 3))
+        save_snapshot(path, old)
+        with monkeypatch.context() as patched:
+            fail_step(patched, step)
+            with pytest.raises(OSError):
+                save_snapshot(path, new)
+        expected = new if step == "dir-fsync" else old
+        assert to_json(load_snapshot(path)) == to_json(expected)
+        assert os.listdir(tmp_path) == ["snap.json"]
+
+    @pytest.mark.parametrize("step", WRITE_STEPS)
+    def test_benchmark_db_save(self, tmp_path, monkeypatch, step):
+        path = tmp_path / "bench.json"
+        cache = BenchmarkCache(path)
+        row = [PerfResult(FwdAlgo.IMPLICIT_GEMM, Status.SUCCESS, 0.002, 0)]
+        cache.put_benchmark(GPU, make_geometry(), row)
+        cache.save()
+        old = BenchmarkCache(path).export_payload()
+        cache.put_benchmark(GPU, make_geometry(n=2), row)
+        with monkeypatch.context() as patched:
+            fail_step(patched, step)
+            with pytest.raises(OSError):
+                cache.save()
+        reloaded = BenchmarkCache(path).export_payload()
+        assert reloaded == (cache.export_payload() if step == "dir-fsync"
+                            else old)
+        assert os.listdir(tmp_path) == ["bench.json"]
+        # The failed save left the cache dirty, so the next one writes.
+        cache.save()
+        assert BenchmarkCache(path).export_payload() == cache.export_payload()
 
 
 class TestMergePolicies:

@@ -70,8 +70,9 @@ class TestRunnerTelemetry:
         assert main(["fig9", "--profile", str(path)]) == 0
         trace = json.loads(path.read_text())
         names = {e.get("name") for e in trace["traceEvents"]}
-        # The documented nesting: experiment > optimize > benchmark > cache.
-        assert {"experiment", "optimize.network", "optimize.wr",
+        # The documented nesting: experiment > optimize > benchmark > cache,
+        # and the network's one tensor WR pass.
+        assert {"experiment", "optimize.network", "solve.tensor.wr",
                 "benchmark.kernel", "benchmark.find", "cache.hit",
                 "cache.miss"} <= names
         assert f"[profile written to {path}]" in capsys.readouterr().out

@@ -15,6 +15,7 @@ workloads.
 """
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,26 +119,29 @@ class TestTensorWR:
     @settings(**SETTINGS)
     @given(gs=st.lists(model_geometry(), min_size=1, max_size=3),
            data=st.data())
-    def test_network_optimizer_backends_identical(self, handle, gs, data):
+    def test_network_optimizer_matches_per_kernel(self, handle, gs, data):
+        """``optimize_network_wr`` solves in one tensor pass; its plan must
+        equal one serial DP per kernel, and on failure it raises the first
+        failing kernel's serial error."""
         geometries = {f"k{i}": g for i, g in enumerate(gs)}
         limit = data.draw(st.integers(0, 512 * MIB))
-        try:
-            serial = optimize_network_wr(handle, geometries, limit)
-        except OptimizationError as exc:
+        benches = network_of(handle, gs)
+        configs, errors = serial_outcomes(benches, limit)
+        if errors:
             with pytest.raises(OptimizationError) as raised:
-                optimize_network_wr(handle, geometries, limit,
-                                    backend="tensor")
-            assert str(raised.value) == str(exc)
+                optimize_network_wr(handle, geometries, limit)
+            first = next(name for name in benches if name in errors)
+            assert str(raised.value) == str(errors[first])
             return
-        tensor = optimize_network_wr(handle, geometries, limit,
-                                     backend="tensor")
+        plan = optimize_network_wr(handle, geometries, limit)
+        expected = []
+        for name, g in geometries.items():
+            undivided = benches[name].fastest_micro(g.n, limit)
+            expected.append((name, configs[name],
+                             undivided.time if undivided else math.inf))
         assert [(k.name, k.configuration, k.undivided_time)
-                for k in tensor.kernels] == [
-            (k.name, k.configuration, k.undivided_time)
-            for k in serial.kernels
-        ]
-        assert tensor.total_time == serial.total_time
-        assert tensor.total_workspace == serial.total_workspace
+                for k in plan.kernels] == expected
+        assert plan.total_time == sum(c.time for _, c, _ in expected)
 
     @settings(**SETTINGS)
     @given(gs=st.lists(model_geometry(), min_size=1, max_size=3),
@@ -161,8 +165,6 @@ class TestTensorWR:
 
     def test_unknown_backends_rejected(self, handle):
         g = make_geometry()
-        with pytest.raises(SolverError):
-            optimize_network_wr(handle, {"k": g}, MIB, backend="simd")
         with pytest.raises(SolverError):
             sweep_network_wr(handle, {"k": g}, [MIB], backend="simd")
 

@@ -4,14 +4,18 @@ import pytest
 
 from repro.core import optimize_network_wd, optimize_network_wr
 from repro.core.policies import BatchSizePolicy
-from repro.core.wd import optimize as wd_optimize
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.enums import ConvType
-from repro.errors import InfeasibleError, SolverError
+from repro.errors import SolverError
 from repro.units import MIB
 from tests.conftest import make_geometry
 
 CONV2 = ConvGeometry(ConvType.FORWARD, 256, 64, 27, 27, 192, 5, 5, 2, 2)
+
+
+def wd_optimize(*args, **kwargs):
+    """The WD result of one network optimization."""
+    return optimize_network_wd(*args, **kwargs).wd
 
 
 @pytest.fixture
