@@ -14,16 +14,25 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
+
+import numpy as np
 
 import repro.telemetry as telemetry
 from repro.core.config import MicroConfig
 from repro.core.policies import BatchSizePolicy, candidate_sizes
 from repro.cudnn.api import find_algorithms, find_algorithms_batched
-from repro.cudnn.enums import AlgoFamily, is_deterministic
+from repro.cudnn.enums import (
+    Algo,
+    AlgoFamily,
+    ConvType,
+    algos_for,
+    family_of,
+    is_deterministic,
+)
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.handle import CudnnHandle
-from repro.cudnn.perfmodel import PerfResult, check_batch_size
+from repro.cudnn.perfmodel import BenchBlock, PerfResult, check_batch_size
 from repro.telemetry.locks import blocking
 
 if TYPE_CHECKING:
@@ -40,10 +49,12 @@ class KernelBenchmark:
         The kernel at its full mini-batch size.
     policy:
         Batch-size policy that selected the measured sizes.
-    results:
-        ``micro_batch -> [PerfResult ...]`` (successful algorithms only,
-        fastest first, *unfiltered* by any workspace limit -- limits are
-        applied by the optimizers so one table serves many limits).
+    block:
+        The measured rows as one :class:`~repro.cudnn.perfmodel.BenchBlock`:
+        successful algorithms only, fastest first, sizes ascending,
+        *unfiltered* by any workspace limit -- limits are applied by the
+        optimizers so one table serves many limits.  ``None`` until the
+        first query packs it from an edited :attr:`results`.
     benchmark_time:
         Simulated device seconds spent producing the table (each supported
         algorithm runs once per measured size, as ``cudnnFind*`` does).
@@ -51,41 +62,57 @@ class KernelBenchmark:
 
     geometry: ConvGeometry
     policy: BatchSizePolicy
-    results: dict[int, list[PerfResult]] = field(default_factory=dict)
+    block: BenchBlock | None = None
     benchmark_time: float = 0.0
-    #: Query memo.  :meth:`fastest_micro` / :meth:`micro_options` key on
-    #: (kind, size, limit bucket); the WR ``T1`` table keys on
-    #: :meth:`t1_bucket` and scans each size's rows directly.  Limits that
-    #: admit the same rows share a bucket, so limit sweeps stop rescanning.
+    _results: dict | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Query memo, keyed on :meth:`t1_bucket` (and the size, for
+    #: :meth:`micro_options`).  Limits that admit the same rows share a
+    #: bucket, so limit sweeps stop rescanning.
     _query_cache: dict = field(
         default_factory=dict, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        if self.block is None:
+            self._results = {}
+
+    @property
+    def results(self) -> dict[int, list[PerfResult]]:
+        """``micro_batch -> [PerfResult ...]``: the block's rows as objects.
+
+        A view built on first access, for the callers that want row
+        objects (Pareto provenance, experiments, tests); queries read the
+        block.  After editing it in place, call
+        :meth:`invalidate_query_cache`, which re-packs the block from it.
+        """
+        if self._results is None:
+            self._results = self.columns().results()
+        return self._results
+
+    def columns(self) -> BenchBlock:
+        """The block every query reads (packed from :attr:`results` if due)."""
+        if self.block is None:
+            rows = self._results
+            self.block = BenchBlock.pack(
+                self.geometry.conv_type, sorted(rows),
+                [rows[size] for size in sorted(rows)]).ascending()
+        return self.block
+
     @property
     def sizes(self) -> list[int]:
         """Measured micro-batch sizes, ascending."""
-        return sorted(self.results)
+        return self.columns().sizes.tolist()
 
     def invalidate_query_cache(self) -> None:
-        """Drop memoized queries after mutating :attr:`results` in place."""
+        """Drop memoized queries after editing :attr:`results` in place."""
         self._query_cache.clear()
-
-    def workspace_steps(self, micro_batch: int) -> list[int]:
-        """Distinct result workspace sizes at one micro-batch, ascending.
-
-        These are the only limit values at which any workspace-limited query
-        at this size can change its answer (``T1`` and the per-size option
-        front are step functions of the limit with exactly these steps).
-        """
-        key = ("steps", micro_batch)
-        steps = self._query_cache.get(key)
-        if steps is None:
-            steps = sorted({r.workspace for r in self.results.get(micro_batch, ())})
-            self._query_cache[key] = steps
-        return steps
+        if self._results is not None:
+            self.block = None
 
     def workspace_step_union(self) -> list[int]:
-        """Union of :meth:`workspace_steps` over all measured sizes, ascending.
+        """Distinct result workspaces over all measured sizes, ascending.
 
         These are the WR breakpoints: two limits between consecutive union
         steps admit the same result rows at *every* size, hence identical
@@ -95,33 +122,47 @@ class KernelBenchmark:
         key = ("step_union",)
         union = self._query_cache.get(key)
         if union is None:
-            union = sorted({r.workspace for rows in self.results.values()
-                            for r in rows})
+            union = sorted(set(self.columns().workspaces.tolist()))
             self._query_cache[key] = union
         return union
 
     def t1_bucket(self, workspace_limit: int | None) -> int | None:
         """Memoization bucket of a limit for whole-table (``T1``) queries.
 
-        Like :meth:`limit_bucket` but over the union of every size's steps:
-        limits in the same bucket produce identical ``T1`` tables.  ``None``
-        (no limit) is its own bucket.
+        The bucket counts how many distinct workspace steps the limit
+        admits: limits in the same bucket admit the *same rows* at every
+        size, hence identical answers to every query (``T1`` tables and
+        per-size option fronts alike).  ``None`` (no limit) is its own
+        bucket.
         """
         if workspace_limit is None:
             return None
         return bisect.bisect_right(self.workspace_step_union(), workspace_limit)
 
-    def limit_bucket(self, micro_batch: int, workspace_limit: int | None) -> int | None:
-        """Memoization bucket of a limit at one size.
+    def t1_rows(self, workspace_limit: int | None) -> np.ndarray:
+        """Per measured size, the block row of its ``T1`` entry (-1: none).
 
-        The bucket counts how many distinct workspace steps the limit admits;
-        limits in the same bucket admit the *same rows* of the result table,
-        hence identical answers to every query.  ``None`` (no limit) is its
-        own bucket.
+        The masked per-size minimum of
+        :meth:`~repro.cudnn.perfmodel.BenchBlock.fastest_rows`, memoized
+        per :meth:`t1_bucket`.  Shared: treat it as read-only.
         """
-        if workspace_limit is None:
-            return None
-        return bisect.bisect_right(self.workspace_steps(micro_batch), workspace_limit)
+        key = ("t1_rows", self.t1_bucket(workspace_limit))
+        rows = self._query_cache.get(key)
+        if rows is None:
+            rows = self.columns().fastest_rows(workspace_limit)
+            self._query_cache[key] = rows
+        return rows
+
+    def t1_micros(self, workspace_limit: int | None) -> dict[int, MicroConfig]:
+        """``size -> T1 entry`` for every size where something fits, ascending."""
+        block = self.columns()
+        rows = self.t1_rows(workspace_limit)
+        fits = rows >= 0
+        return {
+            size: MicroConfig(size, algo, time, workspace)
+            for size, (algo, time, workspace) in zip(
+                block.sizes[fits].tolist(), block.row_values(rows[fits]))
+        }
 
     def micro_options(
         self, micro_batch: int, workspace_limit: int | None = None
@@ -134,7 +175,7 @@ class KernelBenchmark:
         configuration-level pruning of section III-C1 happens in
         :mod:`repro.core.pareto`).
         """
-        key = ("options", micro_batch, self.limit_bucket(micro_batch, workspace_limit))
+        key = ("options", micro_batch, self.t1_bucket(workspace_limit))
         cached = self._query_cache.get(key)
         if cached is None:
             cached = self._compute_micro_options(micro_batch, workspace_limit)
@@ -145,22 +186,21 @@ class KernelBenchmark:
         self, micro_batch: int, workspace_limit: int | None
     ) -> list[MicroConfig]:
         options: list[MicroConfig] = []
-        for res in self.results.get(micro_batch, ()):
-            if workspace_limit is not None and res.workspace > workspace_limit:
+        block = self.columns()
+        i = int(block.index([micro_batch])[0])
+        if i < 0:
+            return options
+        rows = slice(int(block.offsets[i]), int(block.offsets[i + 1]))
+        for algo, time, workspace in block.row_values(rows):
+            if workspace_limit is not None and workspace > workspace_limit:
                 continue
-            dominated = any(
-                o.time <= res.time and o.workspace <= res.workspace for o in options
-            )
-            if dominated:
-                continue
+            if any(o.time <= time and o.workspace <= workspace for o in options):
+                continue  # dominated
             options = [
-                o
-                for o in options
-                if not (res.time <= o.time and res.workspace <= o.workspace)
+                o for o in options
+                if not (time <= o.time and workspace <= o.workspace)
             ]
-            options.append(
-                MicroConfig(micro_batch, res.algo, res.time, res.workspace)
-            )
+            options.append(MicroConfig(micro_batch, algo, time, workspace))
         return options
 
     def restricted(self, families: Iterable[AlgoFamily]) -> "KernelBenchmark":
@@ -172,47 +212,35 @@ class KernelBenchmark:
         paper generalizes the schema so that micro-batching can be applied
         to any convolution algorithm" is then a measurable delta.
         """
-        from repro.cudnn.enums import family_of  # local: avoid import cycle
-
         families = set(families)
-        out = KernelBenchmark(
+        return KernelBenchmark(
             geometry=self.geometry,
             policy=self.policy,
+            block=_keep_algos(self.columns(), lambda conv_type, algo:
+                              family_of(conv_type, algo) in families),
             benchmark_time=self.benchmark_time,
         )
-        for size, results in self.results.items():
-            out.results[size] = [
-                r for r in results
-                if family_of(self.geometry.conv_type, r.algo) in families
-            ]
-        return out
-
-    _MISS = object()  # memo sentinel: fastest_micro legitimately caches None
 
     def fastest_micro(
         self, micro_batch: int, workspace_limit: int | None = None
     ) -> MicroConfig | None:
         """The paper's ``T1``: fastest micro-configuration within the limit."""
-        key = ("fastest", micro_batch, self.limit_bucket(micro_batch, workspace_limit))
-        cached = self._query_cache.get(key, self._MISS)
-        if cached is self._MISS:
-            cached = self._compute_fastest_micro(micro_batch, workspace_limit)
-            self._query_cache[key] = cached
-        return cached
-
-    def _compute_fastest_micro(
-        self, micro_batch: int, workspace_limit: int | None
-    ) -> MicroConfig | None:
-        # First strict minimum; refreshed or imported rows may be unsorted.
-        best: PerfResult | None = None
-        for res in self.results.get(micro_batch, ()):
-            if workspace_limit is not None and res.workspace > workspace_limit:
-                continue
-            if best is None or res.time < best.time:
-                best = res
-        if best is None:
+        block = self.columns()
+        i = int(block.index([micro_batch])[0])
+        row = -1 if i < 0 else int(self.t1_rows(workspace_limit)[i])
+        if row < 0:
             return None
-        return MicroConfig(micro_batch, best.algo, best.time, best.workspace)
+        ((algo, time, workspace),) = block.row_values(np.array([row]))
+        return MicroConfig(micro_batch, algo, time, workspace)
+
+
+def _keep_algos(
+    block: BenchBlock, keep: Callable[[ConvType, Algo], bool]
+) -> BenchBlock:
+    """``block`` without the rows of algorithms ``keep`` rejects."""
+    kept = [int(a) for a in algos_for(block.conv_type)
+            if keep(block.conv_type, a)]
+    return block.keep_rows(np.isin(block.algos, kept))
 
 
 def _aggregate_samples(runs: list[list[PerfResult]]) -> list[PerfResult]:
@@ -263,8 +291,8 @@ def benchmark_kernel(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     blocking("solver.benchmark_kernel")
-    bench = KernelBenchmark(geometry=geometry, policy=policy)
     gpu_name = handle.gpu.spec.name
+    benchmark_time = 0.0
     with telemetry.span(
         "benchmark.kernel", kernel=geometry.cache_key(), policy=policy.value
     ) as kspan:
@@ -273,71 +301,70 @@ def benchmark_kernel(
             # int64 bound before building that list.
             check_batch_size(geometry)
         sizes = candidate_sizes(policy, geometry.n)
-        found_map: dict[int, list[PerfResult]] = {}
-        pending: list[int] = []
-        cached_rows: list[list[PerfResult] | None] = (
-            cache.get_benchmarks(gpu_name, geometry, sizes)
-            if cache is not None else [None] * len(sizes)
+        cached, pending = (
+            cache.get_block(gpu_name, geometry, sizes)
+            if cache is not None else (None, sizes)
         )
-        for size, cached in zip(sizes, cached_rows):
-            if cached is not None:
-                found_map[size] = cached
-            else:
-                pending.append(size)
-
-        if pending and samples == 1:
-            # Single-sample misses answer in one vectorized pass of the
-            # performance model (bit-identical to per-size Find calls).
-            all_results = find_algorithms_batched(handle, geometry, pending)
-        else:
-            all_results = None
-
-        for idx, size in enumerate(pending):
-            # One benchmark unit: every algorithm at one micro-batch size,
-            # as a single cudnnFind* invocation measures them.
-            with telemetry.span("benchmark.find", size=size) as unit:
-                if all_results is not None:
-                    run = [r for r in all_results[idx] if r.ok]
-                    unit_time = sum(r.time for r in run)
-                    found = run
-                else:
-                    g = geometry.with_batch(size)
-                    unit_time = 0.0
-                    runs = []
-                    for _ in range(samples):
-                        run = [r for r in find_algorithms(handle, g) if r.ok]
-                        # cudnnFind executes each supported algorithm once
-                        # per sample.
-                        unit_time += sum(r.time for r in run)
-                        runs.append(run)
-                    found = runs[0] if samples == 1 else _aggregate_samples(runs)
-                bench.benchmark_time += unit_time
-                unit.set("algorithms", len(found))
-                unit.set("device_seconds", unit_time)
+        blocks = [cached] if cached is not None else []
+        if pending:
+            found, unit_times = _find(handle, geometry, pending, samples)
+            # One benchmark unit per size: every algorithm at that size, as
+            # a single cudnnFind* invocation measures them.
+            for unit_time in unit_times:
+                benchmark_time += unit_time
             if telemetry.enabled():
-                telemetry.count(
-                    "benchmark.units", help="cudnnFind benchmark units evaluated"
-                )
-                telemetry.count(
-                    "benchmark.device_seconds", unit_time,
-                    help="simulated device seconds spent benchmarking",
-                )
-                telemetry.observe(
-                    "benchmark.unit_seconds", unit_time,
-                    help="simulated device seconds per benchmark unit",
-                )
-            found_map[size] = found
-        if cache is not None and pending:
-            cache.put_benchmarks(gpu_name, geometry,
-                                 {size: found_map[size] for size in pending})
+                for size, algorithms, unit_time in zip(
+                    pending, np.diff(found.offsets).tolist(), unit_times
+                ):
+                    with telemetry.span("benchmark.find", size=size) as unit:
+                        unit.set("algorithms", algorithms)
+                        unit.set("device_seconds", unit_time)
+                    telemetry.count("benchmark.units",
+                                    help="cudnnFind benchmark units evaluated")
+                    telemetry.count(
+                        "benchmark.device_seconds", unit_time,
+                        help="simulated device seconds spent benchmarking")
+                    telemetry.observe(
+                        "benchmark.unit_seconds", unit_time,
+                        help="simulated device seconds per benchmark unit")
+            if cache is not None:
+                cache.put_block(gpu_name, geometry, found)
+            blocks.append(found)
+        block = (blocks[0] if len(blocks) == 1 else
+                 BenchBlock.concat(geometry.conv_type, blocks)).ascending()
+        if deterministic_only:
+            block = _keep_algos(block, is_deterministic)
+        kspan.set("sizes", len(block))
+        kspan.set("benchmark_seconds", benchmark_time)
+    return KernelBenchmark(geometry=geometry, policy=policy, block=block,
+                           benchmark_time=benchmark_time)
 
-        for size in sizes:
-            found = found_map[size]
-            if deterministic_only:
-                found = [
-                    r for r in found if is_deterministic(geometry.conv_type, r.algo)
-                ]
-            bench.results[size] = found
-        kspan.set("sizes", len(bench.results))
-        kspan.set("benchmark_seconds", bench.benchmark_time)
-    return bench
+
+def _find(
+    handle: CudnnHandle, geometry: ConvGeometry, sizes: list[int],
+    samples: int,
+) -> tuple[BenchBlock, list[float]]:
+    """Find's rows at ``sizes`` and each size's device seconds.
+
+    Single-sample misses answer in one vectorized pass of the performance
+    model (bit-identical to per-size Find calls); ``samples > 1`` runs
+    Find per size and sample and keeps the median rows.
+    """
+    if samples == 1:
+        found = find_algorithms_batched(handle, geometry, sizes)
+        times, bounds = found.times.tolist(), found.offsets.tolist()
+        return found, [sum(times[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    tables = []
+    unit_times = []
+    for size in sizes:
+        g = geometry.with_batch(size)
+        unit_time = 0.0
+        runs = []
+        for _ in range(samples):
+            run = [r for r in find_algorithms(handle, g) if r.ok]
+            # cudnnFind executes each supported algorithm once per sample.
+            unit_time += sum(r.time for r in run)
+            runs.append(run)
+        tables.append(_aggregate_samples(runs))
+        unit_times.append(unit_time)
+    return BenchBlock.pack(geometry.conv_type, sizes, tables), unit_times

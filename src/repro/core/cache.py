@@ -6,31 +6,38 @@ recomputations" -- crucial for networks that replicate convolutional layers
 of the same shape (ResNet), and enabling offline benchmarking plus sharing
 across a homogeneous GPU cluster via a network filesystem.
 
-Keys incorporate the GPU model and the full kernel geometry (including the
-micro-batch size being measured); configuration cache keys additionally
-carry the optimizer inputs (policy, workspace limit, WR/WD).  The file
-format is a single JSON document, written atomically and durably
-(:func:`write_atomic`: fsynced temp file + rename + directory fsync) so
-concurrent readers on a shared filesystem never observe a torn file.
+Benchmark rows are held as one :class:`~repro.cudnn.perfmodel.BenchBlock`
+per GPU model and kernel geometry without its batch size: every measured
+micro-batch size of that kernel in one set of columns, as Find produced
+them.  Hits, misses and LRU recency still count per (block, size).  The
+file format keys rows per size -- the GPU model plus the geometry at the
+measured micro-batch size -- and configuration keys additionally carry the
+optimizer inputs (policy, workspace limit, WR/WD).  It is a single JSON
+document, written atomically and durably (:func:`write_atomic`: fsynced
+temp file + rename + directory fsync) so concurrent readers on a shared
+filesystem never observe a torn file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
+import re
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 import repro.telemetry as telemetry
 from repro.core.config import Configuration
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.enums import ALGOS_FOR, ConvType
-from repro.cudnn.perfmodel import PerfResult
-from repro.cudnn.status import Status
-from repro.errors import CacheError
+from repro.cudnn.perfmodel import _INT64_MAX, BenchBlock, PerfResult
+from repro.errors import CacheError, decode_json
 from repro.telemetry.locks import blocking, new_lock
 
 _FORMAT_VERSION = 1
@@ -66,53 +73,87 @@ def write_atomic(path: Path, text: str) -> None:
         os.close(dir_fd)
 
 
-def _bench_key(gpu_name: str, geometry: ConvGeometry) -> str:
-    return f"{gpu_name}|{geometry.cache_key()}"
+#: A benchmark key split around its batch digits: (head, conv type, size,
+#: tail), where ``head`` ends in ``:n``.
+_KEY = re.compile(r"([^|]*\|([^:|]*):n)(0|[1-9][0-9]*)(.*)", re.DOTALL)
+
+#: A stored block's key: the benchmark key around its batch digits.
+Kernel = tuple[str, str]
 
 
-def _bench_key_template(gpu_name: str, geometry: ConvGeometry) -> tuple[str, str]:
+def _bench_key_template(gpu_name: str, geometry: ConvGeometry) -> Kernel:
     """``(head, tail)`` with ``head + str(n) + tail`` the key at batch ``n``.
 
-    Splits :func:`_bench_key` around the batch digits, so a kernel's keys at
-    every micro-batch size come from one ``cache_key()`` call instead of one
-    :class:`~repro.cudnn.descriptors.ConvGeometry` per size.
+    The key of a kernel's block, and of each of its sizes in the file DB,
+    from one ``cache_key()`` call.
     """
     head, sep, rest = geometry.cache_key().partition(":n")
     return f"{gpu_name}|{head}{sep}", rest[len(str(geometry.n)):]
 
 
-def _parse_bench_section(section: object, where: str) -> dict[str, tuple[PerfResult, ...]]:
-    """Validate + decode the ``benchmarks`` section of a payload.
+def _parse_bench_section(
+    section: object, where: str
+) -> dict[Kernel, tuple[BenchBlock, np.ndarray]]:
+    """Validate + decode the ``benchmarks`` section into one block per kernel.
 
-    Malformed structure (wrong container types, rows missing fields,
-    unknown algorithm/conv-type codes) raises
+    Returns ``kernel -> (block, position of each size's key in the
+    section)``.  Malformed structure (wrong container types, a key that is
+    no benchmark key, rows missing fields, unknown algorithm codes, a row
+    ``conv_type`` other than its key's, a time that is not a finite number
+    >= 0, a workspace that is not an integer in ``[0, 2**63)``) raises
     :class:`~repro.errors.CacheError` naming the damaged key, instead of
-    leaking ``KeyError``/``TypeError``/``ValueError`` from half-parsed data.
+    leaking ``KeyError``/``TypeError``/``ValueError`` from half-parsed data
+    or storing a value no Find produced.
     """
     if not isinstance(section, dict):
         raise CacheError(
             f"{where}: 'benchmarks' must be an object, "
             f"got {type(section).__name__}"
         )
-    bench: dict[str, tuple[PerfResult, ...]] = {}
-    for key, rows in section.items():
+    columns: dict[Kernel, tuple] = {}
+    for position, (key, rows) in enumerate(section.items()):
         try:
-            conv_type = ConvType(rows[0]["conv_type"]) if rows else ConvType.FORWARD
-            algo_enum = ALGOS_FOR[conv_type]
-            bench[key] = tuple(
-                PerfResult(
-                    algo=algo_enum(r["algo"]),
-                    status=Status.SUCCESS,
-                    time=float(r["time"]),
-                    workspace=int(r["workspace"]),
-                )
-                for r in rows
-            )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            match = _KEY.fullmatch(key)
+            if match is None:
+                raise ValueError("not a benchmark key")
+            head, conv_name, digits, tail = match.groups()
+            size = int(digits)
+            if size > _INT64_MAX:
+                raise ValueError(f"batch size {size} is out of range")
+            algo_enum = ALGOS_FOR[ConvType(conv_name)]
+            if not isinstance(rows, list):
+                raise TypeError(f"rows must be a list, got {type(rows).__name__}")
+            kernel = (head, tail)
+            if kernel not in columns:
+                columns[kernel] = (ConvType(conv_name), [], [], [], [], [], [])
+            _, sizes, counts, algos, times, workspaces, positions = columns[kernel]
+            for r in rows:
+                if r["conv_type"] != conv_name:
+                    raise ValueError(
+                        f"row conv_type {r['conv_type']!r} is not the key's")
+                algos.append(int(algo_enum(r["algo"])))
+                time, workspace = r["time"], r["workspace"]
+                if type(time) not in (int, float) or not (
+                        0 <= float(time) < math.inf):
+                    raise ValueError(f"time {time!r} is not a finite number >= 0")
+                if type(workspace) is float and workspace.is_integer():
+                    workspace = int(workspace)
+                if type(workspace) is not int or not 0 <= workspace <= _INT64_MAX:
+                    raise ValueError(f"workspace {workspace!r} is not a byte count")
+                times.append(float(time))
+                workspaces.append(workspace)
+            sizes.append(size)
+            counts.append(len(rows))
+            positions.append(position)
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise CacheError(
                 f"{where}: corrupt benchmark entry {key!r}: {exc}"
             ) from exc
-    return bench
+    return {
+        kernel: (BenchBlock.from_lists(*lists[:6]),
+                 np.array(lists[6], dtype=np.int64))
+        for kernel, lists in columns.items()
+    }
 
 
 def _parse_config_section(section: object, where: str) -> dict[str, dict]:
@@ -158,7 +199,7 @@ class BenchmarkCache:
         past the limit evicts the least-recently-*used* entry (lookups
         refresh recency) and increments :attr:`evictions`.
 
-    Each size's rows are stored as one tuple; lookups return fresh lists.
+    Each kernel's rows are one block; lookups return fresh lists.
     """
 
     def __init__(
@@ -179,7 +220,12 @@ class BenchmarkCache:
         #: "bench.io" level is blocking-allowed by contract (DESIGN.md
         #: section 14); "bench" is not.
         self._io_lock = new_lock("bench.io")
-        self._bench: dict[str, tuple[PerfResult, ...]] = {}
+        self._blocks: dict[Kernel, BenchBlock] = {}
+        #: Per block, each size's place in the file DB's key order: sizes
+        #: keep the order of their first insert, as keys of one dict would.
+        self._order: dict[Kernel, np.ndarray] = {}
+        self._next_order = 0
+        self._bench_entries = 0
         self._configs: dict[str, dict] = {}
         #: Hit/miss counters, split by what was looked up: benchmark tables
         #: (the expensive cudnnFind results) vs optimized configurations
@@ -190,9 +236,10 @@ class BenchmarkCache:
         self.config_misses = 0
         #: Entries dropped by the LRU bound (always 0 when unbounded).
         self.evictions = 0
-        #: Global LRU order across both stores; keys are ("bench"|"config",
-        #: entry key), values unused.  Empty when unbounded: nothing evicts.
-        self._recency: "OrderedDict[tuple[str, str], None]" = OrderedDict()
+        #: Global LRU order across both stores; keys are ("bench", (head,
+        #: tail, size)) and ("config", key), values unused.  Empty when
+        #: unbounded: nothing evicts.
+        self._recency: "OrderedDict[tuple[str, object], None]" = OrderedDict()
         #: Callbacks fired (outside the lock) when :meth:`put_benchmark`
         #: overwrites existing rows with different values -- the signal that
         #: plans derived from the old rows are stale.
@@ -237,36 +284,54 @@ class BenchmarkCache:
         hit or miss and (when bounded) refreshes its own LRU recency, exactly
         as one :meth:`get_benchmark` call per size would.
         """
-        head, tail = _bench_key_template(gpu_name, geometry)
-        keys = [f"{head}{size}{tail}" for size in sizes]
-        out: list[list[PerfResult] | None] = []
-        bounded = self._capacity is not None
+        block, where = self._lookup(gpu_name, geometry, list(sizes))
+        return [None if i < 0 else block.rows(i) for i in where.tolist()]
+
+    def get_block(
+        self, gpu_name: str, geometry: ConvGeometry, sizes: list[int]
+    ) -> tuple[BenchBlock | None, list[int]]:
+        """The stored rows of ``sizes`` as one block, and the sizes missed.
+
+        Counts hits and misses (and refreshes recency) exactly as
+        :meth:`get_benchmarks`.  The block holds the hits in ``sizes``
+        order (``None`` when nothing hit); it is the stored block itself
+        when ``sizes`` are exactly its sizes.
+        """
+        block, where = self._lookup(gpu_name, geometry, sizes)
+        missed = [size for size, i in zip(sizes, where.tolist()) if i < 0]
+        hits = where[where >= 0]
+        if not len(hits):
+            return None, missed
+        if len(hits) == len(block) and (hits == np.arange(len(hits))).all():
+            return block, missed
+        return block.take(hits), missed
+
+    def _lookup(
+        self, gpu_name: str, geometry: ConvGeometry, sizes: list[int]
+    ) -> tuple[BenchBlock | None, np.ndarray]:
+        """The kernel's block and each size's position in it (-1: a miss)."""
+        head, tail = kernel = _bench_key_template(gpu_name, geometry)
         with self._lock:
-            for key in keys:
-                entry = self._bench.get(key)
-                if entry is None:
-                    self.bench_misses += 1
-                    out.append(None)
-                else:
-                    self.bench_hits += 1
-                    if bounded:
-                        self._recency.move_to_end(("bench", key))
-                    out.append(list(entry))
+            block = self._blocks.get(kernel)
+            where = (block.index(sizes) if block is not None
+                     else np.full(len(sizes), -1, dtype=np.int64))
+            hits = int(np.count_nonzero(where >= 0))
+            self.bench_hits += hits
+            self.bench_misses += len(sizes) - hits
+            if self._capacity is not None:
+                for size, i in zip(sizes, where.tolist()):
+                    if i >= 0:
+                        self._recency.move_to_end(("bench", (head, tail, size)))
         if telemetry.enabled():
-            for key, entry in zip(keys, out):
-                if entry is None:
-                    telemetry.count("cache.misses",
-                                    help="benchmark/config cache misses")
-                    telemetry.count("cache.bench.misses",
-                                    help="benchmark-table cache misses")
-                    telemetry.event("cache.miss", key=key)
-                else:
-                    telemetry.count("cache.hits",
-                                    help="benchmark/config cache hits")
-                    telemetry.count("cache.bench.hits",
-                                    help="benchmark-table cache hits")
-                    telemetry.event("cache.hit", key=key)
-        return out
+            for size, i in zip(sizes, where.tolist()):
+                outcome = "misses" if i < 0 else "hits"
+                telemetry.count(f"cache.{outcome}",
+                                help=f"benchmark/config cache {outcome}")
+                telemetry.count(f"cache.bench.{outcome}",
+                                help=f"benchmark-table cache {outcome}")
+                telemetry.event("cache.miss" if i < 0 else "cache.hit",
+                                key=f"{head}{size}{tail}")
+        return block, where
 
     def has_benchmark(self, gpu_name: str, geometry: ConvGeometry) -> bool:
         """Whether benchmark rows exist, without counting a hit or miss.
@@ -277,7 +342,8 @@ class BenchmarkCache:
         locality signal it reads.
         """
         with self._lock:
-            return _bench_key(gpu_name, geometry) in self._bench
+            block = self._blocks.get(_bench_key_template(gpu_name, geometry))
+            return block is not None and bool(block.index([geometry.n])[0] >= 0)
 
     def put_benchmark(
         self, gpu_name: str, geometry: ConvGeometry, results: list[PerfResult]
@@ -293,7 +359,17 @@ class BenchmarkCache:
     ) -> None:
         """Insert or refresh one kernel's rows at several micro-batch sizes.
 
-        Sizes are inserted in ``rows`` order under one lock hold, each with
+        The rows are packed into one block and stored by :meth:`put_block`.
+        """
+        self.put_block(gpu_name, geometry, BenchBlock.pack(
+            geometry.conv_type, list(rows), list(rows.values())))
+
+    def put_block(
+        self, gpu_name: str, geometry: ConvGeometry, block: BenchBlock
+    ) -> None:
+        """Insert or refresh one kernel's rows at the block's sizes.
+
+        Sizes are inserted in block order under one lock hold, each with
         its own recency bump and eviction pass when bounded, exactly as one
         :meth:`put_benchmark` call per size would.  Overwriting an existing
         size with *different* rows notifies every registered invalidation
@@ -304,19 +380,21 @@ class BenchmarkCache:
         listener-free.  Callers that can change rows must not hold locks a
         listener may take.
         """
-        head, tail = _bench_key_template(gpu_name, geometry)
+        head, tail = kernel = _bench_key_template(gpu_name, geometry)
         changed: list[int] = []
         evicted = 0
         with self._lock:
-            for size, results in rows.items():
-                key = f"{head}{size}{tail}"
-                new = tuple(results)
-                old = self._bench.get(key)
-                if old is not None and old != new:
-                    changed.append(size)
-                self._bench[key] = new
+            if self._capacity is None:
+                changed = self._store(kernel, block)
+            else:
+                # One size at a time: an insert can evict a size the same
+                # call writes later.
+                for i, size in enumerate(block.sizes.tolist()):
+                    changed += self._store(kernel, block.take([i]))
+                    evicted += self._evict_over_capacity(
+                        ("bench", (head, tail, size)))
+            if len(block):
                 self._dirty = True
-                evicted += self._evict_over_capacity(("bench", key))
             listeners = list(self._listeners) if changed else []
         if evicted and telemetry.enabled():
             telemetry.count("cache.evictions", evicted,
@@ -328,6 +406,60 @@ class BenchmarkCache:
             sized = geometry.with_batch(size)
             for listener in listeners:
                 listener(gpu_name, sized)
+
+    def _store(
+        self, kernel: Kernel, block: BenchBlock,
+        order: np.ndarray | None = None,
+    ) -> list[int]:
+        """Merge ``block`` into the kernel's stored block.
+
+        New sizes take ``order`` (default: the next free places, in block
+        order); overwritten sizes keep theirs.  Returns the overwritten
+        sizes whose rows changed, in block order.  Re-entrant on the lock.
+        """
+        if not len(block):
+            return []
+        changed: list[int] = []
+        with self._lock:
+            if order is None:
+                order = self._next_order + np.arange(len(block), dtype=np.int64)
+            self._next_order = max(self._next_order, int(order.max()) + 1)
+            old = self._blocks.get(kernel)
+            if old is None:
+                merged, merged_order = block, order
+            else:
+                old_order = self._order[kernel]
+                where = old.index(block.sizes)
+                present = where >= 0
+                for i in np.flatnonzero(present).tolist():
+                    if block.rows(i) != old.rows(int(where[i])):
+                        changed.append(int(block.sizes[i]))
+                order = np.where(present, old_order[np.maximum(where, 0)],
+                                 order)
+                keep = np.ones(len(old), dtype=bool)
+                keep[where[present]] = False
+                merged = BenchBlock.concat(
+                    block.conv_type, [old.take(np.flatnonzero(keep)), block])
+                merged_order = np.concatenate([old_order[keep], order])
+                self._bench_entries -= len(old)
+            self._blocks[kernel] = merged.ascending()
+            self._order[kernel] = merged_order[
+                np.argsort(merged.sizes, kind="stable")]
+            self._bench_entries += len(merged)
+        return changed
+
+    def _drop(self, head: str, tail: str, size: int) -> None:
+        """Remove one size of a stored block (re-entrant on the lock)."""
+        kernel = (head, tail)
+        with self._lock:
+            block = self._blocks[kernel]
+            keep = block.sizes != size
+            if keep.any():
+                self._blocks[kernel] = block.take(np.flatnonzero(keep))
+                self._order[kernel] = self._order[kernel][keep]
+            else:
+                del self._blocks[kernel], self._order[kernel]
+            self._bench_entries -= 1
 
     def add_invalidation_listener(
         self, listener: Callable[[str, ConvGeometry], None]
@@ -390,7 +522,7 @@ class BenchmarkCache:
             telemetry.count("cache.evictions", evicted,
                             help="entries dropped by the LRU capacity bound")
 
-    def _evict_over_capacity(self, *touched: tuple[str, str]) -> int:
+    def _evict_over_capacity(self, *touched: tuple[str, object]) -> int:
         """Bump ``touched`` to most recent, then drop LRU entries past
         :attr:`capacity`; a no-op when unbounded (re-entrant on the lock)."""
         if self._capacity is None:
@@ -400,10 +532,10 @@ class BenchmarkCache:
             for entry in touched:
                 self._recency[entry] = None
                 self._recency.move_to_end(entry)
-            while len(self._bench) + len(self._configs) > self._capacity:
+            while len(self) > self._capacity:
                 (kind, old_key), _ = self._recency.popitem(last=False)
                 if kind == "bench":
-                    del self._bench[old_key]
+                    self._drop(*old_key)
                 else:
                     del self._configs[old_key]
                 self.evictions += 1
@@ -450,24 +582,29 @@ class BenchmarkCache:
         """The persistable sections (a deep-enough copy, safe to serialize).
 
         This is the schema the file DB and the plan-snapshot backend
-        (:mod:`repro.persistence`) share: ``benchmarks`` maps cache keys to
-        benchmark rows, ``configurations`` maps config keys to serialized
+        (:mod:`repro.persistence`) share: ``benchmarks`` maps each size's
+        key to its benchmark rows, in first-insert order, and
+        ``configurations`` maps config keys to serialized
         :class:`~repro.core.config.Configuration` dicts.
         """
         with self._lock:
+            entries = []
+            for (head, tail), block in self._blocks.items():
+                conv_type = head.split("|", 1)[1].split(":", 1)[0]
+                rows = [
+                    {"conv_type": conv_type, "algo": int(algo), "time": time,
+                     "workspace": workspace}
+                    for algo, time, workspace in block.row_values(slice(None))
+                ]
+                bounds = block.offsets.tolist()
+                entries += [
+                    (order, f"{head}{size}{tail}", rows[bounds[i]:bounds[i + 1]])
+                    for i, (size, order) in enumerate(zip(
+                        block.sizes.tolist(), self._order[head, tail].tolist()))
+                ]
+            entries.sort(key=lambda entry: entry[0])
             return {
-                "benchmarks": {
-                    key: [
-                        {
-                            "conv_type": key.split("|", 1)[1].split(":", 1)[0],
-                            "algo": int(r.algo),
-                            "time": r.time,
-                            "workspace": r.workspace,
-                        }
-                        for r in results
-                    ]
-                    for key, results in self._bench.items()
-                },
+                "benchmarks": {key: rows for _, key, rows in entries},
                 "configurations": {
                     key: dict(value) for key, value in self._configs.items()
                 },
@@ -488,19 +625,11 @@ class BenchmarkCache:
             raise CacheError("cache has no backing file")
         blocking("cache.load")
         try:
-            with open(self.path) as fh:
-                text = fh.read()
+            payload = decode_json(
+                self.path, CacheError, f"benchmark DB {self.path} is not "
+                "valid JSON (truncated or corrupt?)")
         except OSError as exc:
             raise CacheError(f"cannot read benchmark DB {self.path}: {exc}") from exc
-        if not text.strip():
-            raise CacheError(f"benchmark DB {self.path} is empty")
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CacheError(
-                f"benchmark DB {self.path} is not valid JSON "
-                f"(truncated or corrupt?): {exc}"
-            ) from exc
         if not isinstance(payload, dict):
             raise CacheError(
                 f"benchmark DB {self.path} must be a JSON object, "
@@ -516,12 +645,11 @@ class BenchmarkCache:
             payload.get("configurations", {}), str(self.path)
         )
         with self._lock:
-            self._bench = bench
-            self._configs = configs
+            self._blocks, self._order = {}, {}
+            self._next_order = self._bench_entries = 0
+            self._configs = {}
             self._recency = OrderedDict()
-            if self._capacity is not None:
-                self._recency.update((("bench", key), None) for key in bench)
-                self._recency.update((("config", key), None) for key in configs)
+            self._add(bench, configs)
             evicted = self._evict_over_capacity()
             self._dirty = False
         if evicted and telemetry.enabled():
@@ -545,26 +673,8 @@ class BenchmarkCache:
         configs = _parse_config_section(
             payload.get("configurations", {}), "import"
         )
-        added = 0
         with self._lock:
-            for key, results in bench.items():
-                if only_gpu is not None and key.split("|", 1)[0] != only_gpu:
-                    continue
-                if key in self._bench:
-                    continue
-                self._bench[key] = results
-                if self._capacity is not None:
-                    self._recency[("bench", key)] = None
-                added += 1
-            for key, data in configs.items():
-                if only_gpu is not None and key.split("|", 1)[0] != only_gpu:
-                    continue
-                if key in self._configs:
-                    continue
-                self._configs[key] = data
-                if self._capacity is not None:
-                    self._recency[("config", key)] = None
-                added += 1
+            added = self._add(bench, configs, only_gpu)
             if added:
                 self._dirty = True
             evicted = self._evict_over_capacity()
@@ -573,5 +683,38 @@ class BenchmarkCache:
                             help="entries dropped by the LRU capacity bound")
         return added
 
+    def _add(
+        self, bench: dict[Kernel, tuple[BenchBlock, np.ndarray]],
+        configs: dict[str, dict], only_gpu: str | None = None,
+    ) -> int:
+        """Add the parsed entries this cache lacks, in payload order;
+        returns how many.  Bounded caches append them to the LRU order,
+        benchmark rows first.  Re-entrant on the lock."""
+        added: list[tuple[int, str, str, int]] = []
+        with self._lock:
+            base = self._next_order
+            for (head, tail), (block, positions) in bench.items():
+                if only_gpu is not None and head.split("|", 1)[0] != only_gpu:
+                    continue
+                stored = self._blocks.get((head, tail))
+                if stored is not None:
+                    new = stored.index(block.sizes) < 0
+                    block = block.take(np.flatnonzero(new))
+                    positions = positions[new]
+                self._store((head, tail), block, base + positions)
+                added += [(p, head, tail, size) for p, size in zip(
+                    positions.tolist(), block.sizes.tolist())]
+            fresh = {key: data for key, data in configs.items()
+                     if key not in self._configs
+                     and (only_gpu is None or key.split("|", 1)[0] == only_gpu)}
+            self._configs.update(fresh)
+            if self._capacity is not None:
+                added.sort()
+                self._recency.update(
+                    (("bench", (head, tail, size)), None)
+                    for _, head, tail, size in added)
+                self._recency.update((("config", key), None) for key in fresh)
+        return len(added) + len(fresh)
+
     def __len__(self) -> int:
-        return len(self._bench) + len(self._configs)
+        return self._bench_entries + len(self._configs)

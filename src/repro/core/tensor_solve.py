@@ -60,28 +60,32 @@ from repro.errors import OptimizationError
 
 
 def _wr_tensors(
-    t1s: "list[dict[int, MicroConfig]]",
-) -> "tuple[np.ndarray, np.ndarray, list[list[MicroConfig]]]":
-    """Pack per-kernel ``T1`` tables into padded ``(K, S)`` tensors.
+    benches: "list[KernelBenchmark]", workspace_limit: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Pack the kernels' ``T1`` entries into padded ``(K, S)`` tensors.
 
-    Row order follows ``t1s``; column order is ascending micro-batch size
-    (the tables iterate in insertion order, which
-    :func:`~repro.core.wr.t1_table` builds ascending) -- the order the
-    serial DP's first-strict-minimum tie-break depends on.  Padding cells
-    carry size ``0`` and time ``inf``.
+    Row order follows ``benches``.  Each row lists the kernel's measured
+    sizes where something fits the limit, ascending, with their ``T1``
+    times, read straight from the block columns at the rows of the
+    memoized per-size minimum
+    (:meth:`~repro.core.benchmarker.KernelBenchmark.t1_rows`) -- the order
+    the serial DP's first-strict-minimum tie-break depends on, and the
+    order of :func:`~repro.core.wr.t1_table`.  Padding cells carry size
+    ``0`` and time ``inf``.
     """
-    width = max(len(t1) for t1 in t1s)
-    size_rows: list[list[int]] = []
-    time_rows: list[list[float]] = []
-    micros: list[list[MicroConfig]] = []
-    for t1 in t1s:
-        fill = width - len(t1)
-        micros.append(list(t1.values()))
-        size_rows.append([*t1, *[0] * fill])
-        time_rows.append([micro.time for micro in t1.values()] + [np.inf] * fill)
-    sizes = np.array(size_rows, dtype=np.int64)
-    times = np.array(time_rows, dtype=np.float64)
-    return sizes, times, micros
+    picks = []
+    for bench in benches:
+        block = bench.columns()
+        rows = bench.t1_rows(workspace_limit)
+        fits = rows >= 0
+        picks.append((block.sizes[fits], block.times[rows[fits]]))
+    width = max(len(picked) for picked, _ in picks)
+    sizes = np.zeros((len(picks), width), dtype=np.int64)
+    times = np.full((len(picks), width), np.inf)
+    for row, (picked, picked_times) in enumerate(picks):
+        sizes[row, :len(picked)] = picked
+        times[row, :len(picked)] = picked_times
+    return sizes, times
 
 
 def _tensor_wr_dp(
@@ -169,7 +173,9 @@ def solve_network_wr_outcomes(
         "solve.tensor.wr", kernels=len(benches),
         workspace_limit=workspace_limit,
     ) as tspan:
-        sizes, t1_times, micros = _wr_tensors([t1 for _, _, t1 in feasible])
+        sizes, t1_times = _wr_tensors(
+            [bench for _, bench, _ in feasible], workspace_limit)
+        micros = [list(t1.values()) for _, _, t1 in feasible]
         batches = [bench.geometry.n for _, bench, _ in feasible]
         max_batch = max(batches)
         times, choice = _tensor_wr_dp(sizes, t1_times, max_batch)
@@ -257,21 +263,16 @@ def geometry_family(cache_key: str) -> str:
 def bench_fingerprint(bench: KernelBenchmark) -> tuple:
     """Value identity of a benchmark table (rows, order, and sizes).
 
-    Two benches with equal fingerprints produce identical WR/WD answers
-    under every limit, so cached per-bucket solutions keyed by it stay
-    exact; any row edit (time, workspace, algorithm set, or size set)
-    changes the fingerprint and invalidates the cache entry.
+    The bytes of the block's columns.  Two benches with equal fingerprints
+    produce identical WR/WD answers under every limit, so cached
+    per-bucket solutions keyed by it stay exact; any row edit (time,
+    workspace, algorithm set, or size set) changes the fingerprint and
+    invalidates the cache entry.
     """
-    return tuple(
-        (
-            size,
-            tuple(
-                (int(r.algo), r.time, r.workspace)
-                for r in bench.results[size]
-            ),
-        )
-        for size in bench.sizes
-    )
+    block = bench.columns()
+    return tuple(column.tobytes() for column in (
+        block.sizes, block.offsets, block.algos, block.times,
+        block.workspaces))
 
 
 @dataclass

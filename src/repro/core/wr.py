@@ -68,13 +68,14 @@ def t1_table(
     Memoized per ``(benchmark identity, limit bucket)`` through the
     benchmark's query cache: two limits between consecutive union workspace
     steps admit the same rows at every size and share one table, so repeated
-    per-limit and trace calls stop rebuilding the same dict.  A miss scans
-    each size's rows directly, in the ascending order :func:`_wr_dp` needs.
-    The returned dict is shared -- treat it as immutable.  Infeasible
-    buckets cache (and re-raise) the same :class:`OptimizationError`, which
-    therefore quotes the bucket's first-seen limit (the sweep solvers
-    already document this for interval representatives).  Mutating
-    ``benchmark.results`` requires
+    per-limit and trace calls stop rebuilding the same dict.  A miss reads
+    the block's columns: one masked per-size minimum
+    (:meth:`~repro.core.benchmarker.KernelBenchmark.t1_rows`), sizes in
+    the ascending order :func:`_wr_dp` needs.  The returned dict is shared
+    -- treat it as immutable.  Infeasible buckets cache (and re-raise) the
+    same :class:`OptimizationError`, which therefore quotes the bucket's
+    first-seen limit (the sweep solvers already document this for interval
+    representatives).  Editing ``benchmark.results`` requires
     :meth:`~repro.core.benchmarker.KernelBenchmark.invalidate_query_cache`,
     which drops this memo too.
     """
@@ -88,11 +89,7 @@ def t1_table(
         if isinstance(cached, OptimizationError):
             raise cached
         return cached
-    t1: dict[int, MicroConfig] = {}
-    for size in benchmark.sizes:
-        micro = benchmark._compute_fastest_micro(size, workspace_limit)
-        if micro is not None:
-            t1[size] = micro
+    t1 = benchmark.t1_micros(workspace_limit)
     if not t1:
         error = OptimizationError(
             f"no algorithm fits workspace limit {workspace_limit} for "

@@ -42,7 +42,7 @@ from repro.cudnn.descriptors import (
 )
 from repro.cudnn.enums import Algo, ConvType
 from repro.cudnn.handle import CudnnHandle, ExecMode
-from repro.cudnn.perfmodel import PerfResult
+from repro.cudnn.perfmodel import BenchBlock, PerfResult
 from repro.cudnn.status import Status
 from repro.cudnn.workspace import is_supported, workspace_size
 from repro.errors import BadParamError, NotSupportedError, WorkspaceTooSmallError
@@ -95,26 +95,27 @@ def find_algorithms(handle: CudnnHandle, g: ConvGeometry) -> list[PerfResult]:
 
 def find_algorithms_batched(
     handle: CudnnHandle, g: ConvGeometry, sizes: list[int]
-) -> list[list[PerfResult]]:
+) -> BenchBlock:
     """:func:`find_algorithms` for many micro-batch sizes of one geometry.
 
-    Bit-identical to ``[find_algorithms(handle, g.with_batch(n)) for n in
-    sizes]`` but answered in a single vectorized pass of the performance
+    A :class:`~repro.cudnn.perfmodel.BenchBlock` whose items are
+    bit-identical to ``[find_algorithms(handle, g.with_batch(n)) for n in
+    sizes]``, answered in a single vectorized pass of the performance
     model when the model is jitter-free.  One sample index is drawn per size
     (in order) regardless of the path taken, so the handle's sample counter
     advances exactly as the per-size loop would have advanced it.  Every
     size must be a positive integer, as on the per-size path: a
     non-positive, non-integral or ``bool`` size raises
-    :class:`BadParamError`.
+    :class:`BadParamError`.  This is the solver's Find on a plain cuDNN
+    handle: an interposing handle's virtual algorithm has no column id, and
+    frameworks reach it through the per-size API.
     """
-    if getattr(handle, "UCUDNN_INTERPOSE", False):
-        return [find_algorithms(handle, g.with_batch(n)) for n in sizes]
     samples = [handle.next_sample() for _ in sizes]
     if handle.perf.jitter != 0.0:
-        return [
+        return BenchBlock.pack(g.conv_type, sizes, [
             handle.perf.find_all(g.with_batch(n), sample=s)
             for n, s in zip(sizes, samples)
-        ]
+        ])
     return handle.perf.find_all_batched(g, sizes)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -99,9 +100,8 @@ class PerfResult:
 
     Mirrors ``cudnnConvolutionFwdAlgoPerf_t``: the algorithm, its status for
     this geometry, the (modeled) execution time in seconds, and the required
-    workspace in bytes.  Slotted: a benchmark cache holds one row per size
-    and algorithm of every kernel it has seen, and a row without a
-    ``__dict__`` costs 72 bytes instead of 112.
+    workspace in bytes.  Rows are stored as :class:`BenchBlock` columns and
+    become objects only at the API boundary.
     """
 
     algo: Algo
@@ -112,6 +112,194 @@ class PerfResult:
     @property
     def ok(self) -> bool:
         return self.status == Status.SUCCESS
+
+
+#: ``conv_type -> {algorithm id: algorithm}``, to turn int8 ids back into rows.
+_ALGO_BY_ID = {ct: {int(a): a for a in algos_for(ct)} for ct in ConvType}
+
+
+def _size_array(sizes: Iterable[int]) -> np.ndarray:
+    """Batch sizes as int64; a size past int64 (never stored) becomes -1."""
+    sizes = list(sizes)
+    try:
+        return np.array(sizes, dtype=np.int64)
+    except OverflowError:
+        return np.array([n if abs(n) <= _INT64_MAX else -1 for n in sizes],
+                        dtype=np.int64)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Row offsets ``[0, c0, c0 + c1, ...]`` of per-size row counts."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+class BenchBlock:
+    """Find's rows for one kernel at several batch sizes, as flat columns.
+
+    ``sizes[i]`` owns rows ``offsets[i]:offsets[i + 1]`` of the columns
+    ``algos`` (int8 algorithm ids), ``times`` (float64 seconds) and
+    ``workspaces`` (int64 bytes), in Find's order: fastest first.  The
+    columns hold successful rows only; ``unsupported`` names the
+    algorithms Find reports NOT_SUPPORTED at every size (support does not
+    depend on N).  A block is one set of arrays however many sizes it
+    holds -- no array or Python object per size -- and is never changed
+    in place: every derived block is new.
+
+    Iterating a block yields the Find table of each size in turn: its
+    successful :class:`PerfResult` rows, then the unsupported ones.  Rows
+    become objects only there and in :meth:`rows` / :meth:`results`.
+    """
+
+    __slots__ = ("conv_type", "sizes", "offsets", "algos", "times",
+                 "workspaces", "unsupported")
+
+    def __init__(self, conv_type: ConvType, sizes: np.ndarray,
+                 offsets: np.ndarray, algos: np.ndarray, times: np.ndarray,
+                 workspaces: np.ndarray, unsupported: tuple = ()) -> None:
+        self.conv_type = conv_type
+        self.sizes = sizes
+        self.offsets = offsets
+        self.algos = algos
+        self.times = times
+        self.workspaces = workspaces
+        self.unsupported = unsupported
+
+    @classmethod
+    def pack(cls, conv_type: ConvType, sizes: Iterable[int],
+             tables: Iterable[Iterable[PerfResult]]) -> "BenchBlock":
+        """A block of per-size row lists; failed rows name ``unsupported``."""
+        tables = [list(table) for table in tables]
+        rows = [r for table in tables for r in table if r.ok]
+        return cls.from_lists(
+            conv_type, sizes, [sum(r.ok for r in table) for table in tables],
+            [int(r.algo) for r in rows], [r.time for r in rows],
+            [r.workspace for r in rows],
+            tuple(dict.fromkeys(r.algo for table in tables for r in table
+                                if not r.ok)))
+
+    @classmethod
+    def from_lists(cls, conv_type: ConvType, sizes: Iterable[int],
+                   counts: list[int], algos: list[int], times: list[float],
+                   workspaces: list[int], unsupported: tuple = ()
+                   ) -> "BenchBlock":
+        """A block of plain lists: ``counts[i]`` rows belong to ``sizes[i]``."""
+        return cls(conv_type, _size_array(sizes),
+                   _offsets(np.array(counts, dtype=np.int64)),
+                   np.array(algos, dtype=np.int8),
+                   np.array(times, dtype=np.float64),
+                   np.array(workspaces, dtype=np.int64), unsupported)
+
+    @classmethod
+    def concat(cls, conv_type: ConvType,
+               blocks: "list[BenchBlock]") -> "BenchBlock":
+        """The blocks' sizes one after another (successful rows only)."""
+        def join(column: str) -> np.ndarray:
+            return np.concatenate([getattr(block, column) for block in blocks])
+
+        return cls(conv_type, join("sizes"),
+                   _offsets(np.concatenate([np.diff(b.offsets) for b in blocks])),
+                   join("algos"), join("times"), join("workspaces"))
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __iter__(self) -> Iterator[list[PerfResult]]:
+        return iter(self._tables([
+            PerfResult(algo, Status.NOT_SUPPORTED, math.inf, 0)
+            for algo in self.unsupported
+        ]))
+
+    def row_values(
+        self, rows: "slice | np.ndarray"
+    ) -> Iterator[tuple[Algo, float, int]]:
+        """``(algorithm, time, workspace)`` of the given rows, as Python values."""
+        members = _ALGO_BY_ID[self.conv_type]
+        return ((members[a], t, w) for a, t, w in zip(
+            self.algos[rows].tolist(), self.times[rows].tolist(),
+            self.workspaces[rows].tolist()))
+
+    def rows(self, i: int) -> list[PerfResult]:
+        """The successful rows of ``sizes[i]``, in block order."""
+        lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
+        return [PerfResult(a, Status.SUCCESS, t, w)
+                for a, t, w in self.row_values(slice(lo, hi))]
+
+    def results(self) -> dict[int, list[PerfResult]]:
+        """``size -> successful rows`` of every size, in block order."""
+        return dict(zip(self.sizes.tolist(), self._tables([])))
+
+    def _tables(self, tail: list[PerfResult]) -> list[list[PerfResult]]:
+        """Every size's successful rows followed by ``tail``."""
+        rows = [PerfResult(a, Status.SUCCESS, t, w)
+                for a, t, w in self.row_values(slice(None))]
+        bounds = self.offsets.tolist()
+        return [rows[lo:hi] + tail for lo, hi in zip(bounds, bounds[1:])]
+
+    def index(self, sizes: Iterable[int]) -> np.ndarray:
+        """Position of each of ``sizes`` in :attr:`sizes` (which must
+        ascend, as they do in caches and tables); -1 where absent."""
+        wanted = _size_array(sizes)
+        if not len(self.sizes):
+            return np.full(len(wanted), -1, dtype=np.int64)
+        at = np.searchsorted(self.sizes, wanted)
+        at[at == len(self.sizes)] = 0
+        return np.where(self.sizes[at] == wanted, at, -1)
+
+    def take(self, index: "Iterable[int] | np.ndarray") -> "BenchBlock":
+        """The sizes at positions ``index``, in that order."""
+        index = np.asarray(index, dtype=np.int64)
+        starts = self.offsets[index]
+        counts = self.offsets[index + 1] - starts
+        offsets = _offsets(counts)
+        # Row r of the result is row (r - offsets[seg]) of segment seg.
+        seg = np.repeat(np.arange(len(index)), counts)
+        rows = starts[seg] + np.arange(offsets[-1]) - offsets[seg]
+        return BenchBlock(self.conv_type, self.sizes[index], offsets,
+                          self.algos[rows], self.times[rows],
+                          self.workspaces[rows])
+
+    def keep_rows(self, keep: np.ndarray) -> "BenchBlock":
+        """Only the rows where ``keep`` holds; every size stays."""
+        return BenchBlock(self.conv_type, self.sizes,
+                          _offsets(keep)[self.offsets], self.algos[keep],
+                          self.times[keep], self.workspaces[keep])
+
+    def ascending(self) -> "BenchBlock":
+        """The successful rows, sizes ascending: what a cache or table keeps.
+
+        Shares this block's arrays when its sizes already ascend.
+        """
+        if np.any(self.sizes[1:] <= self.sizes[:-1]):
+            return self.take(np.argsort(self.sizes, kind="stable"))
+        if self.unsupported:
+            return BenchBlock(self.conv_type, self.sizes, self.offsets,
+                              self.algos, self.times, self.workspaces)
+        return self
+
+    def fastest_rows(self, workspace_limit: int | None) -> np.ndarray:
+        """Per size, its first fastest row within the limit (-1: none fits).
+
+        The paper's ``T1`` at every size at once: a minimum over the rows
+        the limit admits, ties to the earliest row (``argmin`` keeps the
+        first), as a first strict minimum scan takes them.
+        """
+        admit = (np.ones(len(self.times), dtype=bool) if workspace_limit is None
+                 else self.workspaces <= workspace_limit)
+        times = np.where(admit, self.times, np.inf)
+        counts = np.diff(self.offsets)
+        width = int(counts.max()) if len(counts) else 0
+        if not len(times):
+            return np.full(len(counts), -1, dtype=np.int64)
+        if len(times) == len(counts) * width:  # every size has `width` rows
+            grid = times.reshape(len(counts), width)
+        else:
+            grid = np.full((len(counts), width), np.inf)
+            grid[np.arange(width) < counts[:, None]] = times
+        column = grid.argmin(axis=1)
+        rows = np.where(column < counts, self.offsets[:-1] + column, -1)
+        return np.where(admit[rows], rows, -1)  # rows[-1] is any row: -1 stays
 
 
 def _fft_plane_flops(hf: int, wf: int) -> float:
@@ -227,22 +415,20 @@ class PerfModel:
         _check_counts(sub, max(r.workspace for r in results))
         return sorted(results, key=lambda r: (r.time, int(r.algo)))
 
-    def find_all_batched(
-        self, g: ConvGeometry, sizes: list[int]
-    ) -> list[list[PerfResult]]:
+    def find_all_batched(self, g: ConvGeometry, sizes: list[int]) -> BenchBlock:
         """:meth:`find_all` for every batch size at once, one numpy pass.
 
-        Returns ``[self.find_all(g.with_batch(n)) for n in sizes]`` with the
-        times and workspaces bit-identical to the per-size path: algorithm
-        support and every transform dimension are independent of N, and each
-        model term is evaluated with the exact same IEEE expression tree per
-        element (N-independent subexpressions hoisted to scalars, the rest
+        Returns a :class:`BenchBlock` whose item ``i`` equals
+        ``self.find_all(g.with_batch(sizes[i]))``, times and workspaces
+        bit-identical to the per-size path: algorithm support and every
+        transform dimension are independent of N, and each model term is
+        evaluated with the exact same IEEE expression tree per element
+        (N-independent subexpressions hoisted to scalars, the rest
         vectorized in the scalar path's association order).
 
         The per-group sub-geometry and its output shape are derived once per
-        call, and the rows are built in one pass: one ``np.lexsort`` over
-        (time, algorithm) orders every size's table, and each unsupported
-        algorithm contributes one NOT_SUPPORTED row shared by all sizes.
+        call; one ``np.lexsort`` over (time, algorithm) orders every size's
+        rows, which stay columns: no row object is built.
 
         Every size must be a positive integer (``bool`` and non-integral
         values included), as :meth:`ConvGeometry.with_batch` requires on
@@ -269,35 +455,31 @@ class PerfModel:
                 check_batch_size(sub.with_batch(max(checked)))
             ns = np.array(checked, dtype=np.int64)
             y = sub.y_desc
-            times = np.empty((len(algos), len(ns)))
-            columns: list[list[PerfResult]] = []
-            supported = 0
-            for j, algo in enumerate(algos):
-                if not is_supported(sub, algo):
-                    times[j] = math.inf
-                    row = PerfResult(algo, Status.NOT_SUPPORTED, math.inf, 0)
-                    columns.append([row] * len(ns))
-                    continue
-                supported += 1
-                wss = workspace_size_batch(sub, ns, algo)
-                col = self._time_supported_batch(sub, y, algo, ns, wss)
+            supported = [algo for algo in algos if is_supported(sub, algo)]
+            times = np.empty((len(supported), len(ns)))
+            wss = np.empty((len(supported), len(ns)), dtype=np.int64)
+            for j, algo in enumerate(supported):
+                wss[j] = workspace_size_batch(sub, ns, algo)
+                col = self._time_supported_batch(sub, y, algo, ns, wss[j])
                 if g.groups > 1:
                     # cuDNN's group loop, as in the scalar _time_supported.
                     col = g.groups * col
                 times[j] = col
-                columns.append([
-                    PerfResult(algo, Status.SUCCESS, t, w)
-                    for t, w in zip(col.tolist(), wss.tolist())
-                ])
-            algo_ids = np.broadcast_to(
-                np.array([int(a) for a in algos])[:, None], times.shape)
-            order = np.lexsort((algo_ids, times), axis=0).T.tolist()
-            tspan.set("supported_algos", supported)
+            ids = np.array([int(a) for a in supported], dtype=np.int8)
+            order = np.lexsort(
+                (np.broadcast_to(ids[:, None], times.shape), times), axis=0)
+            tspan.set("supported_algos", len(supported))
             telemetry.count("perfmodel.batched_finds",
                             help="vectorized multi-size Find invocations")
             telemetry.count("perfmodel.batched_sizes", len(sizes),
                             help="micro-batch sizes served by batched Finds")
-        return [[columns[j][i] for j in idx] for i, idx in enumerate(order)]
+        return BenchBlock(
+            g.conv_type, ns, np.arange(len(ns) + 1) * len(supported),
+            ids[order].T.ravel(),
+            np.take_along_axis(times, order, axis=0).T.ravel(),
+            np.take_along_axis(wss, order, axis=0).T.ravel(),
+            tuple(algo for algo in algos if algo not in supported),
+        )
 
     def fastest(
         self, g: ConvGeometry, workspace_limit: int | None = None, sample: int = 0

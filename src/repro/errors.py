@@ -13,6 +13,10 @@ misused".
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+
 
 class ReproError(Exception):
     """Base class for every exception raised by this package."""
@@ -193,3 +197,29 @@ class FrameworkError(ReproError):
 
 class ShapeError(FrameworkError):
     """Tensor shapes are inconsistent with the layer's expectations."""
+
+
+def decode_json(
+    source: "str | bytes | os.PathLike[str]", error: type[ReproError], what: str
+) -> object:
+    """Parse one JSON document, every decode failure raised as ``error``.
+
+    The one decode path of the benchmark DB, plan snapshots and wire
+    envelopes.  ``source`` is text, UTF-8 bytes or a UTF-8 file, read here
+    so that only its text and the document are in memory at once (a file
+    that cannot be read raises its ``OSError`` for the caller to report).
+    Bytes that are not UTF-8, a blank document, malformed JSON and a
+    document nested too deeply for the parser (a few kilobytes of ``[``)
+    all raise ``error(f"{what}: {reason}")`` -- never a
+    ``UnicodeDecodeError`` or ``RecursionError`` traceback.
+    """
+    try:
+        if isinstance(source, os.PathLike):
+            source = pathlib.Path(source).read_text(encoding="utf-8")
+        elif isinstance(source, bytes):
+            source = source.decode("utf-8")
+        if not source or source.isspace():
+            raise error(f"{what}: the document is empty")
+        return json.loads(source)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{what}: {exc}") from exc

@@ -45,6 +45,7 @@ from repro.errors import (
     PersistenceError,
     SnapshotCorruptError,
     SnapshotVersionError,
+    decode_json,
 )
 from repro.service.requests import PlanKey
 from repro.service.store import PlanStore
@@ -244,16 +245,12 @@ def _validate_plan_entry(entry: object, where: str) -> None:
         ) from exc
 
 
-def from_json(text: str, where: str = "snapshot") -> dict:
-    """Parse + validate a serialized snapshot document."""
-    if not text.strip():
-        raise SnapshotCorruptError(f"{where}: file is empty")
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SnapshotCorruptError(
-            f"{where}: not valid JSON (truncated or corrupt?): {exc}"
-        ) from exc
+def from_json(
+    text: "str | bytes | os.PathLike[str]", where: str = "snapshot"
+) -> dict:
+    """Parse + validate a snapshot document: text, UTF-8 bytes or a file."""
+    document = decode_json(text, SnapshotCorruptError,
+                           f"{where}: not valid JSON (truncated or corrupt?)")
     return validate_snapshot(document, where)
 
 
@@ -310,12 +307,11 @@ def load_snapshot(path: "str | os.PathLike[str]") -> dict:
     """
     target = Path(path)
     try:
-        text = target.read_text()
+        document = from_json(target, where=str(target))
     except OSError as exc:
         raise PersistenceError(
             f"cannot read snapshot {target}: {exc}"
         ) from exc
-    document = from_json(text, where=str(target))
     telemetry.count("persistence.snapshot.loads",
                     help="snapshot documents read from disk")
     telemetry.event("persistence.snapshot.load", path=str(target),

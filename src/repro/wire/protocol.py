@@ -54,6 +54,7 @@ from repro.errors import (
     SolverError,
     UcudnnError,
     WireProtocolError,
+    decode_json,
 )
 from repro.persistence.snapshot import conv_type_of
 from repro.service.requests import PlanKey, PlanRequest, PlanResponse
@@ -122,10 +123,7 @@ def encode_frame(msg_type: str, body: object, msg_id: int) -> bytes:
 
 def decode_envelope(payload: bytes) -> tuple[str, int, object]:
     """``(type, id, body)`` of one envelope payload; validates the grammar."""
-    try:
-        document = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireProtocolError(f"undecodable envelope: {exc}") from exc
+    document = decode_json(payload, WireProtocolError, "undecodable envelope")
     if not isinstance(document, dict):
         raise WireProtocolError(
             f"envelope must be a JSON object, got {type(document).__name__}"

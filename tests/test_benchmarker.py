@@ -1,6 +1,7 @@
 """Tests for the micro-batch benchmarking step (and its cache coupling)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.benchmarker import KernelBenchmark, benchmark_kernel
 from repro.core.cache import BenchmarkCache
@@ -65,6 +66,45 @@ class TestFastestMicro:
         micro = bench.fastest_micro(4)
         assert isinstance(micro, MicroConfig)
         assert micro.micro_batch == 4
+
+
+def _first_fastest(rows, limit):
+    """The scan the block's masked minimum replaced: the first row of the
+    strictly smallest time among those within the limit."""
+    best = None
+    for res in rows:
+        if limit is not None and res.workspace > limit:
+            continue
+        if best is None or res.time < best.time:
+            best = res
+    return best
+
+
+class TestColumnarT1AgainstScan:
+    """``T1`` from the block columns equals the per-size scan, on unsorted
+    rows with ties and sizes with no rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=st.dictionaries(
+               st.integers(1, 16),
+               st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+                                  st.sampled_from([0, 64, 128, 4096])),
+                        max_size=5),
+               min_size=1, max_size=8),
+           limit=st.none() | st.sampled_from([0, 63, 64, 100, 128, 5000]))
+    def test_fastest_micro_and_t1_equal_the_scan(self, table, limit):
+        bench = synth_benchmark(16, table)
+        t1 = bench.t1_micros(limit)
+        for size in sorted(table):
+            best = _first_fastest(bench.results[size], limit)
+            micro = bench.fastest_micro(size, limit)
+            if best is None:
+                assert micro is None and size not in t1
+            else:
+                expected = MicroConfig(size, best.algo, best.time,
+                                       best.workspace)
+                assert micro == expected and t1[size] == expected
+        assert list(t1) == sorted(t1)
 
 
 class TestBenchmarkKernel:

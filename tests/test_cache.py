@@ -1,19 +1,39 @@
 """Tests for the benchmark / configuration cache (paper section III-D)."""
 
+import gc
 import json
+import pathlib
+import tempfile
+import tracemalloc
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cache import BenchmarkCache, _bench_key, _bench_key_template
+from repro.core.cache import BenchmarkCache, _bench_key_template
 from repro.core.config import Configuration, MicroConfig
 from repro.cudnn.descriptors import ConvGeometry
-from repro.cudnn.enums import ConvolutionMode, ConvType, FwdAlgo
+from repro.cudnn.enums import ALGOS_FOR, ConvolutionMode, ConvType, FwdAlgo
 from repro.cudnn.perfmodel import PerfResult
 from repro.cudnn.status import Status
 from repro.errors import CacheError
 from tests.conftest import make_geometry
+
+
+def _bench_key(gpu_name, geometry):
+    """The file DB key of one kernel at one micro-batch size."""
+    return f"{gpu_name}|{geometry.cache_key()}"
+
+
+def _entry_key(entry):
+    """The key a recency entry stands for: a size's file DB key, or a
+    configuration key."""
+    kind, key = entry
+    if kind == "bench":
+        head, tail, size = key
+        return f"{head}{size}{tail}"
+    return key
 
 
 def sample_results():
@@ -374,11 +394,17 @@ class TestRowStore:
             cache.capacity = None
         assert BenchmarkCache().capacity is None
 
-    def test_stored_rows_are_tuples_and_lookups_fresh_lists(self):
+    def test_stored_rows_are_one_block_and_lookups_fresh_lists(self):
         cache = BenchmarkCache()
         g = make_geometry()
         cache.put_benchmark(self.GPU, g, sample_results())
-        assert all(type(rows) is tuple for rows in cache._bench.values())
+        cache.put_benchmarks(self.GPU, g, {2: _ROW_VARIANTS[2],
+                                           1: sample_results()})
+        (block,) = cache._blocks.values()
+        assert block.sizes.tolist() == [1, 2, 4]
+        assert block.offsets.tolist() == [0, 2, 3, 5]
+        assert [block.algos.dtype, block.times.dtype,
+                block.workspaces.dtype] == [np.int8, np.float64, np.int64]
         got = cache.get_benchmark(self.GPU, g)
         assert type(got) is list and got == sample_results()
         got.clear()
@@ -397,7 +423,7 @@ class TestRowStore:
         else:
             cache = BenchmarkCache()
             cache.import_payload(source.export_payload())
-        assert all(type(rows) is tuple for rows in cache._bench.values())
+        assert len(cache._blocks) == 1  # one block for the kernel's sizes
         seen = []
         cache.add_invalidation_listener(lambda gpu, geo: seen.append(geo.n))
         cache.put_benchmarks(self.GPU, g, {4: sample_results(),
@@ -445,7 +471,7 @@ class _PopLog(OrderedDict):
 
     def popitem(self, last=True):
         item = super().popitem(last=last)
-        self.popped.append(item[0][1])
+        self.popped.append(_entry_key(item[0]))
         return item
 
 
@@ -564,7 +590,8 @@ class TestBatchedCallsAgainstRowModel:
                 # Nothing can be evicted, so no recency is kept at all.
                 assert not cache._recency
             else:
-                assert [key for _, key in cache._recency] == list(model.recency)
+                assert [_entry_key(entry) for entry in cache._recency] == \
+                    list(model.recency)
             assert notified == model.notified
         assert json.dumps(cache.export_payload()).encode() == json.dumps(
             model.payload()).encode()
@@ -583,3 +610,366 @@ class TestBatchedCallsAgainstRowModel:
             4: _ROW_VARIANTS[2],          # first insert: silent
         })
         assert seen == [2]
+
+
+# ---------------------------------------------------------------------------
+# The block store against a plain per-size model
+# ---------------------------------------------------------------------------
+
+
+class _StoreModel:
+    """Plain per-size reference of a whole cache: one dict of rows keyed by
+    each size's file DB key, one LRU list, no blocks."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.rows = {}
+        self.recency = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evicted = []
+        self.notified = []
+
+    def get(self, gpu, geometry):
+        key = _bench_key(gpu, geometry)
+        if key not in self.rows:
+            self.misses += 1
+            return None
+        self.hits += 1
+        if self.capacity is not None:
+            self.recency.move_to_end(key)
+        return list(self.rows[key])
+
+    def _insert(self, key, rows):
+        self.rows[key] = list(rows)
+        if self.capacity is not None:
+            self.recency[key] = None
+            self.recency.move_to_end(key)
+
+    def _evict(self):
+        while self.capacity is not None and len(self.rows) > self.capacity:
+            key, _ = self.recency.popitem(last=False)
+            del self.rows[key]
+            self.evicted.append(key)
+
+    def put(self, gpu, geometry, rows):
+        key = _bench_key(gpu, geometry)
+        old = self.rows.get(key)
+        self._insert(key, rows)
+        self._evict()
+        if old is not None and old != list(rows):
+            self.notified.append((gpu, geometry))
+
+    def import_payload(self, payload, only_gpu):
+        added = 0
+        for key, rows in payload["benchmarks"].items():
+            if only_gpu is not None and key.split("|")[0] != only_gpu:
+                continue
+            if key not in self.rows:
+                self._insert(key, [
+                    PerfResult(ALGOS_FOR[ConvType(r["conv_type"])](r["algo"]),
+                               Status.SUCCESS, r["time"], r["workspace"])
+                    for r in rows
+                ])
+                added += 1
+        self._evict()
+        return added
+
+    def payload(self):
+        return _RowModel.payload(self)
+
+
+@st.composite
+def _geometry(draw):
+    """A small random kernel: any operation type, stride, padding, groups."""
+    groups = draw(st.sampled_from([1, 1, 2]))
+    r = draw(st.sampled_from([1, 3]))
+    return ConvGeometry(
+        draw(st.sampled_from(list(ConvType))), draw(st.integers(1, 64)),
+        groups * draw(st.integers(1, 8)), draw(st.integers(r, 12)),
+        draw(st.integers(r, 12)), groups * draw(st.integers(1, 8)), r, r,
+        draw(st.integers(0, 1)), draw(st.integers(0, 1)),
+        draw(st.integers(1, 2)), draw(st.integers(1, 2)), groups=groups,
+    )
+
+
+#: Rows as (algorithm index, time, workspace), typed at the kernel's
+#: operation; few values, so rewrites repeat rows and stay silent.
+_ROW_SPEC = st.lists(st.tuples(
+    st.integers(0, 5), st.sampled_from([0.0, 1e-7, 0.001, 0.5, 3.25]),
+    st.sampled_from([0, 64, 1024, 2**33])), max_size=4)
+_SIZE_LIST = st.lists(st.integers(1, 12), max_size=6)
+_STORE_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["get", "block"]), st.integers(0, 1),
+              st.integers(0, 2), _SIZE_LIST),
+    st.tuples(st.just("put"), st.integers(0, 1), st.integers(0, 2),
+              st.dictionaries(st.integers(1, 12), _ROW_SPEC, max_size=5)),
+    st.tuples(st.just("refresh"), st.integers(0, 1), st.integers(0, 2),
+              st.integers(1, 12), _ROW_SPEC),
+    st.tuples(st.just("import"), st.sampled_from([None, 0, 1]),
+              st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2),
+                                 st.integers(1, 12), _ROW_SPEC), max_size=6)),
+), max_size=30)
+
+
+def _rows_of(kernel, spec):
+    algos = list(ALGOS_FOR[kernel.conv_type])
+    return [PerfResult(algos[i % len(algos)], Status.SUCCESS, t, w)
+            for i, t, w in spec]
+
+
+class TestBlockStoreAgainstModel:
+    """One block per kernel behaves exactly like one dict entry per size."""
+
+    GPUS = ("p100-sxm2", "v100-sxm2")
+
+    @pytest.mark.parametrize("capacity", [None, 1, 4, 9])
+    @settings(max_examples=40, deadline=None)
+    @given(kernels=st.lists(_geometry(), min_size=3, max_size=3,
+                            unique_by=lambda g: g.cache_key()),
+           ops=_STORE_OPS)
+    def test_random_operations(self, capacity, kernels, ops):
+        cache = BenchmarkCache(capacity=capacity)
+        cache._recency = _PopLog()
+        model = _StoreModel(capacity)
+        notified = []
+        cache.add_invalidation_listener(
+            lambda gpu, geometry: notified.append((gpu, geometry)))
+        for op in ops:
+            kind = op[0]
+            if kind in ("get", "block"):
+                gpu, kernel, sizes = self.GPUS[op[1]], kernels[op[2]], op[3]
+                expected = [model.get(gpu, kernel.with_batch(n)) for n in sizes]
+                if kind == "get":
+                    assert cache.get_benchmarks(gpu, kernel, sizes) == expected
+                else:
+                    block, missed = cache.get_block(gpu, kernel, sizes)
+                    hits = [(n, rows) for n, rows in zip(sizes, expected)
+                            if rows is not None]
+                    assert missed == [n for n, rows in zip(sizes, expected)
+                                      if rows is None]
+                    assert (block is None) == (not hits)
+                    if block is not None:
+                        assert block.sizes.tolist() == [n for n, _ in hits]
+                        assert [block.rows(i) for i in range(len(block))] == \
+                            [rows for _, rows in hits]
+            elif kind == "put":
+                gpu, kernel = self.GPUS[op[1]], kernels[op[2]]
+                rows = {n: _rows_of(kernel, spec) for n, spec in op[3].items()}
+                cache.put_benchmarks(gpu, kernel, rows)
+                for n, results in rows.items():
+                    model.put(gpu, kernel.with_batch(n), results)
+            elif kind == "refresh":
+                gpu, sized = self.GPUS[op[1]], kernels[op[2]].with_batch(op[3])
+                rows = _rows_of(sized, op[4])
+                cache.put_benchmark(gpu, sized, rows)
+                model.put(gpu, sized, rows)
+            else:
+                only_gpu = None if op[1] is None else self.GPUS[op[1]]
+                payload = {"benchmarks": {}}
+                for g, k, n, spec in op[2]:
+                    sized = kernels[k].with_batch(n)
+                    key = _bench_key(self.GPUS[g], sized)
+                    payload["benchmarks"].setdefault(key, [
+                        {"conv_type": sized.conv_type.value,
+                         "algo": int(r.algo), "time": r.time,
+                         "workspace": r.workspace}
+                        for r in _rows_of(sized, spec)
+                    ])
+                assert cache.import_payload(payload, only_gpu=only_gpu) == \
+                    model.import_payload(payload, only_gpu)
+            assert (cache.bench_hits, cache.bench_misses) == (
+                model.hits, model.misses)
+            assert cache._recency.popped == model.evicted
+            assert cache.evictions == len(model.evicted)
+            assert len(cache) == len(model.rows)
+            if capacity is not None:
+                assert [_entry_key(entry) for entry in cache._recency] == \
+                    list(model.recency)
+            assert notified == model.notified
+        assert json.dumps(cache.export_payload()).encode() == json.dumps(
+            model.payload()).encode()
+
+
+# ---------------------------------------------------------------------------
+# The bench decoder: row validation and arbitrary bytes
+# ---------------------------------------------------------------------------
+
+
+_VALID_KEY = "k80|Forward:n4c3h8w8k5r3s3ph1pw1sh1sw1dh1dw1"
+
+
+def _doc(rows, key=_VALID_KEY):
+    return {"version": 1, "benchmarks": {key: rows}, "configurations": {}}
+
+
+def _row(**fields):
+    row = {"conv_type": "Forward", "algo": 4, "time": 0.001, "workspace": 1024}
+    row.update(fields)
+    return row
+
+
+class TestRowValidation:
+    """The decoder stores only rows Find could have produced."""
+
+    @pytest.mark.parametrize("row", [
+        _row(time=float("nan")), _row(time=-0.5), _row(time=float("inf")),
+        _row(time="0.001"), _row(time=True), _row(workspace=-1),
+        _row(workspace=1.7), _row(workspace=2**63), _row(workspace="64"),
+        _row(conv_type="BackwardData"), _row(algo=99), {"algo": 4},
+    ], ids=["nan-time", "negative-time", "inf-time", "string-time",
+            "bool-time", "negative-workspace", "fractional-workspace",
+            "huge-workspace", "string-workspace", "other-conv-type",
+            "unknown-algo", "missing-fields"])
+    @pytest.mark.parametrize("route", ["load", "import"])
+    def test_invalid_row_is_a_cache_error(self, tmp_path, row, route):
+        doc = _doc([_row(), row])
+        with pytest.raises(CacheError, match="k80"):
+            if route == "load":
+                path = tmp_path / "bench.json"
+                path.write_text(json.dumps(doc))
+                BenchmarkCache(path)
+            else:
+                BenchmarkCache().import_payload(doc)
+
+    @pytest.mark.parametrize("key", [
+        "k80|Forward:nc3", "k80|Forward:c3", "k80|Sideways:n4c3", "nokey",
+        "k80|Forward:n99999999999999999999c3",
+    ])
+    def test_a_key_that_names_no_kernel_size_is_a_cache_error(self, key):
+        with pytest.raises(CacheError):
+            BenchmarkCache().import_payload(_doc([_row()], key=key))
+
+    def test_integral_float_workspace_loads_as_an_integer(self):
+        cache = BenchmarkCache()
+        cache.import_payload(_doc([_row(workspace=1024.0, time=0)]))
+        (row,) = cache.get_benchmark("k80", make_geometry())
+        assert row == PerfResult(FwdAlgo.FFT, Status.SUCCESS, 0.0, 1024)
+        assert type(row.workspace) is int and type(row.time) is float
+
+    def test_a_valid_file_loads_to_the_same_rows_and_bytes(self, tmp_path):
+        """Two kernels' sizes interleaved, empty rows, unsorted rows: the
+        file loads to the rows it names and saves back byte for byte."""
+        g, other = make_geometry(), make_geometry(c=16, k=7)
+        source = {
+            _bench_key("k80", g.with_batch(2)): [_row(), _row(algo=0, time=0.5,
+                                                              workspace=0)],
+            _bench_key("k80", other.with_batch(1)): [],
+            _bench_key("k80", g.with_batch(1)): [_row(algo=0, time=0.25,
+                                                      workspace=0), _row()],
+            _bench_key("p100-sxm2", other): [_row(algo=2, time=3e-05,
+                                                  workspace=2**40)],
+        }
+        path = tmp_path / "bench.json"
+        text = json.dumps({"version": 1, "benchmarks": source,
+                           "configurations": {}})
+        path.write_text(text)
+        cache = BenchmarkCache(path)
+        for key, rows in source.items():
+            gpu, geometry_key = key.split("|")
+            n = int(geometry_key.split(":n")[1].split("c")[0])
+            geometry = (g if geometry_key.startswith(g.cache_key()[:9])
+                        and "c3h" in geometry_key else other).with_batch(n)
+            assert cache.get_benchmark(gpu, geometry) == [
+                PerfResult(FwdAlgo(r["algo"]), Status.SUCCESS, r["time"],
+                           r["workspace"]) for r in rows]
+        cache._dirty = True
+        cache.save()
+        assert path.read_text() == text
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**64)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+_FUZZ_KEY = st.sampled_from([
+    _VALID_KEY, "v100-sxm2|BackwardFilter:n32c64h7w7k64r3s3ph1pw1sh1sw1dh1dw1g2",
+    "k80|Forward:n0c3", "k80|Forward:n01c3", "k80|Forward:99", "|:n1",
+]) | st.text(max_size=12)
+_FUZZ_ROW = st.fixed_dictionaries({
+    "conv_type": st.sampled_from(["Forward", "BackwardFilter"]) | _JSON,
+    "algo": st.integers(-1, 8) | _JSON,
+    "time": st.floats(allow_nan=True, allow_infinity=True) | _JSON,
+    "workspace": st.integers(-2, 2**64) | st.floats() | _JSON,
+})
+_FUZZ_DOC = st.fixed_dictionaries({
+    "version": st.sampled_from([1, 1, 2]) | _JSON,
+    "benchmarks": st.dictionaries(
+        _FUZZ_KEY, st.lists(_FUZZ_ROW, max_size=3) | _JSON, max_size=3) | _JSON,
+    "configurations": st.dictionaries(st.text(max_size=6), _JSON,
+                                      max_size=2) | _JSON,
+})
+
+
+class TestLoadFuzz:
+    """Any bytes on disk give a loaded cache or a CacheError, nothing else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=200)
+           | _FUZZ_DOC.map(lambda doc: json.dumps(doc).encode())
+           | st.just(b"[" * 100_000) | st.just(b'{"version": 1, "\xff": 2}'))
+    def test_any_bytes_load_or_raise_cache_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "bench.json"
+            path.write_bytes(data)
+            try:
+                cache = BenchmarkCache(path)
+            except CacheError:
+                return
+            # What loads exports, and re-imports to the same payload.
+            payload = cache.export_payload()
+            again = BenchmarkCache()
+            again.import_payload(payload)
+            assert again.export_payload() == payload
+
+
+# ---------------------------------------------------------------------------
+# Memory budget of the block store
+# ---------------------------------------------------------------------------
+
+
+class TestMemoryBudget:
+    """The rows of AlexNet b256 ``all`` on p100 stay one block per kernel.
+
+    Measured: the cache holds 452,675 bytes (15 blocks, 3840 sizes) where a
+    tuple of row objects per size held 3,099,460.  The ceiling is the
+    measured size plus 25%.
+    """
+
+    CEILING = 566_000
+
+    def test_cache_bytes_after_alexnet_all(self):
+        from repro.core.benchmarker import benchmark_kernel
+        from repro.core.policies import BatchSizePolicy
+        from repro.cudnn.device import Gpu
+        from repro.cudnn.handle import CudnnHandle, ExecMode
+        from repro.frameworks.model_zoo import build_alexnet
+        from repro.harness.experiments import conv_geometries_of
+
+        geometries = conv_geometries_of(build_alexnet, 256, "p100-sxm2")
+        handle = CudnnHandle(gpu=Gpu.create("p100-sxm2"), mode=ExecMode.TIMING)
+
+        def fill():
+            cache = BenchmarkCache()
+            for g in geometries.values():
+                benchmark_kernel(handle, g, BatchSizePolicy.ALL, cache=cache)
+            return cache
+
+        fill()  # warm every lazy import and memo outside the measurement
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cache = fill()
+            gc.collect()
+            full = tracemalloc.get_traced_memory()[0]
+            entries = len(cache)
+            del cache
+            gc.collect()
+            held = full - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert entries == 3840
+        assert held <= self.CEILING, f"the cache holds {held} bytes"

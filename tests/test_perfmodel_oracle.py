@@ -87,10 +87,10 @@ def test_production_model_equals_reference(g):
                         model.time(gt, algo)
             assert model.find_all(gt) == oracle.find_all(gt)
             expected = oracle.find_all_per_size(gt, sizes)
-            assert model.find_all_batched(gt, sizes) == expected
+            assert list(model.find_all_batched(gt, sizes)) == expected
             # Unsorted, repeated sizes are answered in the order asked.
             odd = sizes[::-2] + sizes[:2]
-            assert model.find_all_batched(gt, odd) == \
+            assert list(model.find_all_batched(gt, odd)) == \
                 oracle.find_all_per_size(gt, odd)
             # benchmark_kernel charges every supported row, in Find order.
             total = 0.0
@@ -127,7 +127,7 @@ def test_batch_size_bound_is_exact(g):
     for conv_type in ConvType:
         gt = g.with_type(conv_type)
         n = _largest_batch(model, gt)
-        assert model.find_all_batched(gt, [n, 1]) == \
+        assert list(model.find_all_batched(gt, [n, 1])) == \
             oracle.find_all_per_size(gt, [n, 1])
         with pytest.raises(BadParamError):
             model.find_all_batched(gt, [1, n + 1])

@@ -25,6 +25,7 @@ from repro.errors import (
     SnapshotCorruptError,
     SnapshotVersionError,
 )
+from repro.persistence.snapshot import from_json
 from repro.persistence import (
     MERGE_POLICIES,
     PersistentPlanStore,
@@ -135,6 +136,22 @@ class TestValidation:
         path.write_text(text[: len(text) // 2])
         with pytest.raises(SnapshotCorruptError, match="not valid JSON"):
             load_snapshot(path)
+
+    def test_non_utf8_file_is_corrupt(self, tmp_path):
+        path = tmp_path / "snap.json"
+        path.write_bytes(b'{"kind": "\xff\xfe"}')
+        with pytest.raises(SnapshotCorruptError, match="not valid JSON"):
+            load_snapshot(path)
+        with pytest.raises(SnapshotCorruptError, match="not valid JSON"):
+            from_json(path.read_bytes())
+
+    def test_deeply_nested_document_is_corrupt(self, tmp_path):
+        path = tmp_path / "snap.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(SnapshotCorruptError, match="not valid JSON"):
+            load_snapshot(path)
+        with pytest.raises(SnapshotCorruptError, match="not valid JSON"):
+            from_json("[" * 100_000)
 
     def test_missing_file_is_persistence_error(self, tmp_path):
         with pytest.raises(PersistenceError, match="cannot read"):

@@ -191,7 +191,7 @@ class TestBatchedFind:
         serial = [find_algorithms(serial_handle, g.with_batch(n))
                   for n in sizes]
         batched = find_algorithms_batched(batched_handle, g, sizes)
-        assert batched == serial
+        assert list(batched) == serial
         assert batched_handle.next_sample() == serial_handle.next_sample()
 
     def test_grouped_convolution(self):
@@ -202,7 +202,7 @@ class TestBatchedFind:
                                   g.with_batch(n)) for n in sizes]
         batched = find_algorithms_batched(
             CudnnHandle(mode=ExecMode.TIMING), g, sizes)
-        assert batched == serial
+        assert list(batched) == serial
 
     def test_jittered_handle_falls_back_to_per_size_sampling(self):
         """With noise the batched path must not be taken (each size needs
@@ -232,7 +232,7 @@ class TestBatchedFind:
         still agree."""
         g = make_geometry(n=256, c=256, k=256, h=56, w=56)
         model = CudnnHandle(mode=ExecMode.TIMING).perf
-        assert model.find_all_batched(g, [2**31]) == \
+        assert list(model.find_all_batched(g, [2**31])) == \
             [model.find_all(g.with_batch(2**31))]
         for n in (2**32, 2**40, 2**70):
             with pytest.raises(BadParamError):

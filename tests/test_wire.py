@@ -114,6 +114,17 @@ class TestEnvelopeValidation:
         with pytest.raises(WireProtocolError, match="JSON object"):
             decode_envelope(b"[1,2]")
 
+    def test_non_utf8_bytes(self):
+        with pytest.raises(WireProtocolError, match="undecodable"):
+            decode_envelope(b'{"v": "\xff\xfe"}')
+
+    def test_deep_nesting_within_the_frame_cap(self):
+        """100 KB of ``[`` fits a frame and once escaped as RecursionError."""
+        payload = b"[" * 100_000
+        assert len(payload) < MAX_FRAME_BYTES
+        with pytest.raises(WireProtocolError, match="undecodable"):
+            decode_envelope(payload)
+
     def test_wrong_version(self):
         bad = json.dumps({"body": {}, "id": 1, "type": "ping",
                           "v": WIRE_VERSION + 1}).encode()
