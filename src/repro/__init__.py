@@ -32,8 +32,11 @@ Quickstart::
 ``import repro`` loads no subpackage and re-exports nothing but
 ``__version__``: import each name from the module that defines it (the
 ``repro.UcudnnHandle``-style shortcuts and ``repro.core``-style attribute
-access without an import are gone).  That keeps a plan server's start-up
-down to the modules serving calls.
+access without an import are gone).  :mod:`repro.core` and
+:mod:`repro.cudnn` still offer their public names, but load each one's
+submodule on first access.  That keeps a plan server's start-up down to
+the modules serving calls: a warm server answering from its store loads
+neither numpy nor the solver stack, which load on its first solve.
 
 See README.md and DESIGN.md for the full tour.
 """

@@ -28,19 +28,24 @@ import re
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping
 
 import repro.telemetry as telemetry
 from repro.core.config import Configuration
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.enums import ALGOS_FOR, ConvType
-from repro.cudnn.perfmodel import _INT64_MAX, BenchBlock, PerfResult
 from repro.errors import CacheError, decode_json
 from repro.telemetry.locks import blocking, new_lock
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.cudnn.perfmodel import BenchBlock, PerfResult
+
 _FORMAT_VERSION = 1
+
+#: The largest batch size or workspace a block's int64 columns hold.
+_INT64_MAX = 2**63 - 1
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -91,16 +96,74 @@ def _bench_key_template(gpu_name: str, geometry: ConvGeometry) -> Kernel:
     return f"{gpu_name}|{head}{sep}", rest[len(str(geometry.n)):]
 
 
-def _parse_bench_section(
-    section: object, where: str
-) -> dict[Kernel, tuple[BenchBlock, np.ndarray]]:
-    """Validate + decode the ``benchmarks`` section into one block per kernel.
+class _Rows:  # reprolint: disable=THR001 -- owned by one BenchmarkCache: filled while parsing, then changed only under the cache's lock
+    """One kernel's validated rows as plain lists, not yet a block.
 
-    Returns ``kernel -> (block, position of each size's key in the
-    section)``.  Malformed structure (wrong container types, a key that is
-    no benchmark key, rows missing fields, unknown algorithm codes, a row
-    ``conv_type`` other than its key's, a time that is not a finite number
-    >= 0, a workspace that is not an integer in ``[0, 2**63)``) raises
+    What :func:`_parse_bench_section` yields, and what the cache keeps for
+    a kernel loaded from a file or imported from a snapshot until anything
+    reads it: size ``sizes[i]`` owns the next ``counts[i]`` entries of
+    ``algos`` (algorithm ids), ``times`` and ``workspaces``, in Find's
+    order, and ``order[i]`` is its place in the file DB's key order.  Lists
+    let a warm-starting server load, count and re-save rows without numpy
+    or the perf model.
+    """
+
+    __slots__ = ("conv_type", "sizes", "counts", "algos", "times",
+                 "workspaces", "order")
+
+    def __init__(self, conv_type: ConvType) -> None:
+        self.conv_type = conv_type
+        self.sizes: list[int] = []
+        self.counts: list[int] = []
+        self.algos: list[int] = []
+        self.times: list[float] = []
+        self.workspaces: list[int] = []
+        self.order: list[int] = []
+
+    def tables(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(size, order, first row, end row)`` of each size."""
+        lo = 0
+        for size, order, count in zip(self.sizes, self.order, self.counts):
+            yield size, order, lo, lo + count
+            lo += count
+
+    def extend(
+        self, other: "_Rows", skip: Container[int], base: int
+    ) -> list[tuple[int, int]]:
+        """Append ``other``'s sizes not in ``skip``, their order shifted by
+        ``base``; returns ``(order, size)`` of each size appended."""
+        appended: list[tuple[int, int]] = []
+        for size, order, lo, hi in other.tables():
+            if size in skip:
+                continue
+            self.sizes.append(size)
+            self.counts.append(hi - lo)
+            self.order.append(base + order)
+            self.algos += other.algos[lo:hi]
+            self.times += other.times[lo:hi]
+            self.workspaces += other.workspaces[lo:hi]
+            appended.append((base + order, size))
+        return appended
+
+    def pack(self) -> "tuple[BenchBlock, np.ndarray]":
+        """The rows as one block, in list order, and each size's order."""
+        import numpy as np
+
+        from repro.cudnn.perfmodel import BenchBlock
+
+        return (BenchBlock.from_lists(self.conv_type, self.sizes, self.counts,
+                                      self.algos, self.times, self.workspaces),
+                np.array(self.order, dtype=np.int64))
+
+
+def _parse_bench_section(section: object, where: str) -> dict[Kernel, _Rows]:
+    """Validate + decode the ``benchmarks`` section into rows per kernel.
+
+    Each size's ``order`` is the position of its key in the section.
+    Malformed structure (wrong container types, a key that is no benchmark
+    key, rows missing fields, unknown algorithm codes, a row ``conv_type``
+    other than its key's, a time that is not a finite number >= 0, a
+    workspace that is not an integer in ``[0, 2**63)``) raises
     :class:`~repro.errors.CacheError` naming the damaged key, instead of
     leaking ``KeyError``/``TypeError``/``ValueError`` from half-parsed data
     or storing a value no Find produced.
@@ -110,7 +173,7 @@ def _parse_bench_section(
             f"{where}: 'benchmarks' must be an object, "
             f"got {type(section).__name__}"
         )
-    columns: dict[Kernel, tuple] = {}
+    parsed: dict[Kernel, _Rows] = {}
     for position, (key, rows) in enumerate(section.items()):
         try:
             match = _KEY.fullmatch(key)
@@ -120,18 +183,19 @@ def _parse_bench_section(
             size = int(digits)
             if size > _INT64_MAX:
                 raise ValueError(f"batch size {size} is out of range")
-            algo_enum = ALGOS_FOR[ConvType(conv_name)]
+            conv_type = ConvType(conv_name)
+            algo_enum = ALGOS_FOR[conv_type]
             if not isinstance(rows, list):
                 raise TypeError(f"rows must be a list, got {type(rows).__name__}")
             kernel = (head, tail)
-            if kernel not in columns:
-                columns[kernel] = (ConvType(conv_name), [], [], [], [], [], [])
-            _, sizes, counts, algos, times, workspaces, positions = columns[kernel]
+            if kernel not in parsed:
+                parsed[kernel] = _Rows(conv_type)
+            columns = parsed[kernel]
             for r in rows:
                 if r["conv_type"] != conv_name:
                     raise ValueError(
                         f"row conv_type {r['conv_type']!r} is not the key's")
-                algos.append(int(algo_enum(r["algo"])))
+                columns.algos.append(int(algo_enum(r["algo"])))
                 time, workspace = r["time"], r["workspace"]
                 if type(time) not in (int, float) or not (
                         0 <= float(time) < math.inf):
@@ -140,20 +204,16 @@ def _parse_bench_section(
                     workspace = int(workspace)
                 if type(workspace) is not int or not 0 <= workspace <= _INT64_MAX:
                     raise ValueError(f"workspace {workspace!r} is not a byte count")
-                times.append(float(time))
-                workspaces.append(workspace)
-            sizes.append(size)
-            counts.append(len(rows))
-            positions.append(position)
+                columns.times.append(float(time))
+                columns.workspaces.append(workspace)
+            columns.sizes.append(size)
+            columns.counts.append(len(rows))
+            columns.order.append(position)
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise CacheError(
                 f"{where}: corrupt benchmark entry {key!r}: {exc}"
             ) from exc
-    return {
-        kernel: (BenchBlock.from_lists(*lists[:6]),
-                 np.array(lists[6], dtype=np.int64))
-        for kernel, lists in columns.items()
-    }
+    return parsed
 
 
 def _parse_config_section(section: object, where: str) -> dict[str, dict]:
@@ -199,7 +259,10 @@ class BenchmarkCache:
         past the limit evicts the least-recently-*used* entry (lookups
         refresh recency) and increments :attr:`evictions`.
 
-    Each kernel's rows are one block; lookups return fresh lists.
+    Each kernel's rows are one block; lookups return fresh lists.  Rows
+    loaded from the file or imported from a payload stay validated lists
+    until anything reads their kernel, so loading, counting and re-saving
+    them needs neither numpy nor the perf model.
     """
 
     def __init__(
@@ -224,6 +287,10 @@ class BenchmarkCache:
         #: Per block, each size's place in the file DB's key order: sizes
         #: keep the order of their first insert, as keys of one dict would.
         self._order: dict[Kernel, np.ndarray] = {}
+        #: Loaded or imported kernels not read since: :meth:`_block` packs
+        #: one into ``_blocks`` on its first read.  A kernel is in one of
+        #: the two maps, never both.
+        self._loaded: dict[Kernel, _Rows] = {}
         self._next_order = 0
         self._bench_entries = 0
         self._configs: dict[str, dict] = {}
@@ -285,7 +352,7 @@ class BenchmarkCache:
         as one :meth:`get_benchmark` call per size would.
         """
         block, where = self._lookup(gpu_name, geometry, list(sizes))
-        return [None if i < 0 else block.rows(i) for i in where.tolist()]
+        return [None if i < 0 else block.rows(i) for i in where]
 
     def get_block(
         self, gpu_name: str, geometry: ConvGeometry, sizes: list[int]
@@ -298,32 +365,32 @@ class BenchmarkCache:
         when ``sizes`` are exactly its sizes.
         """
         block, where = self._lookup(gpu_name, geometry, sizes)
-        missed = [size for size, i in zip(sizes, where.tolist()) if i < 0]
-        hits = where[where >= 0]
-        if not len(hits):
+        missed = [size for size, i in zip(sizes, where) if i < 0]
+        hits = [i for i in where if i >= 0]
+        if block is None or not hits:
             return None, missed
-        if len(hits) == len(block) and (hits == np.arange(len(hits))).all():
+        if hits == list(range(len(block))):
             return block, missed
         return block.take(hits), missed
 
     def _lookup(
         self, gpu_name: str, geometry: ConvGeometry, sizes: list[int]
-    ) -> tuple[BenchBlock | None, np.ndarray]:
+    ) -> tuple[BenchBlock | None, list[int]]:
         """The kernel's block and each size's position in it (-1: a miss)."""
         head, tail = kernel = _bench_key_template(gpu_name, geometry)
         with self._lock:
-            block = self._blocks.get(kernel)
-            where = (block.index(sizes) if block is not None
-                     else np.full(len(sizes), -1, dtype=np.int64))
-            hits = int(np.count_nonzero(where >= 0))
+            block = self._block(kernel)
+            where = (block.index(sizes).tolist() if block is not None
+                     else [-1] * len(sizes))
+            hits = sum(i >= 0 for i in where)
             self.bench_hits += hits
             self.bench_misses += len(sizes) - hits
             if self._capacity is not None:
-                for size, i in zip(sizes, where.tolist()):
+                for size, i in zip(sizes, where):
                     if i >= 0:
                         self._recency.move_to_end(("bench", (head, tail, size)))
         if telemetry.enabled():
-            for size, i in zip(sizes, where.tolist()):
+            for size, i in zip(sizes, where):
                 outcome = "misses" if i < 0 else "hits"
                 telemetry.count(f"cache.{outcome}",
                                 help=f"benchmark/config cache {outcome}")
@@ -342,7 +409,7 @@ class BenchmarkCache:
         locality signal it reads.
         """
         with self._lock:
-            block = self._blocks.get(_bench_key_template(gpu_name, geometry))
+            block = self._block(_bench_key_template(gpu_name, geometry))
             return block is not None and bool(block.index([geometry.n])[0] >= 0)
 
     def put_benchmark(
@@ -361,6 +428,8 @@ class BenchmarkCache:
 
         The rows are packed into one block and stored by :meth:`put_block`.
         """
+        from repro.cudnn.perfmodel import BenchBlock
+
         self.put_block(gpu_name, geometry, BenchBlock.pack(
             geometry.conv_type, list(rows), list(rows.values())))
 
@@ -407,6 +476,19 @@ class BenchmarkCache:
             for listener in listeners:
                 listener(gpu_name, sized)
 
+    def _block(self, kernel: Kernel) -> BenchBlock | None:
+        """The kernel's stored block, packing its loaded rows on first read.
+
+        Every read of stored rows goes through here.  Re-entrant on the
+        lock.
+        """
+        with self._lock:
+            rows = self._loaded.pop(kernel, None)
+            if rows is not None:
+                self._bench_entries -= len(rows.sizes)
+                self._store(kernel, *rows.pack())
+            return self._blocks.get(kernel)
+
     def _store(
         self, kernel: Kernel, block: BenchBlock,
         order: np.ndarray | None = None,
@@ -417,6 +499,10 @@ class BenchmarkCache:
         order); overwritten sizes keep theirs.  Returns the overwritten
         sizes whose rows changed, in block order.  Re-entrant on the lock.
         """
+        import numpy as np
+
+        from repro.cudnn.perfmodel import BenchBlock
+
         if not len(block):
             return []
         changed: list[int] = []
@@ -424,7 +510,7 @@ class BenchmarkCache:
             if order is None:
                 order = self._next_order + np.arange(len(block), dtype=np.int64)
             self._next_order = max(self._next_order, int(order.max()) + 1)
-            old = self._blocks.get(kernel)
+            old = self._block(kernel)
             if old is None:
                 merged, merged_order = block, order
             else:
@@ -450,9 +536,12 @@ class BenchmarkCache:
 
     def _drop(self, head: str, tail: str, size: int) -> None:
         """Remove one size of a stored block (re-entrant on the lock)."""
+        import numpy as np
+
         kernel = (head, tail)
         with self._lock:
-            block = self._blocks[kernel]
+            block = self._block(kernel)
+            assert block is not None
             keep = block.sizes != size
             if keep.any():
                 self._blocks[kernel] = block.take(np.flatnonzero(keep))
@@ -602,6 +691,17 @@ class BenchmarkCache:
                     for i, (size, order) in enumerate(zip(
                         block.sizes.tolist(), self._order[head, tail].tolist()))
                 ]
+            for (head, tail), loaded in self._loaded.items():
+                conv_type = loaded.conv_type.value
+                entries += [
+                    (order, f"{head}{size}{tail}", [
+                        {"conv_type": conv_type, "algo": algo, "time": time,
+                         "workspace": workspace}
+                        for algo, time, workspace in zip(
+                            loaded.algos[lo:hi], loaded.times[lo:hi],
+                            loaded.workspaces[lo:hi])])
+                    for size, order, lo, hi in loaded.tables()
+                ]
             entries.sort(key=lambda entry: entry[0])
             return {
                 "benchmarks": {key: rows for _, key, rows in entries},
@@ -645,7 +745,7 @@ class BenchmarkCache:
             payload.get("configurations", {}), str(self.path)
         )
         with self._lock:
-            self._blocks, self._order = {}, {}
+            self._blocks, self._order, self._loaded = {}, {}, {}
             self._next_order = self._bench_entries = 0
             self._configs = {}
             self._recency = OrderedDict()
@@ -684,26 +784,36 @@ class BenchmarkCache:
         return added
 
     def _add(
-        self, bench: dict[Kernel, tuple[BenchBlock, np.ndarray]],
+        self, bench: dict[Kernel, _Rows],
         configs: dict[str, dict], only_gpu: str | None = None,
     ) -> int:
         """Add the parsed entries this cache lacks, in payload order;
-        returns how many.  Bounded caches append them to the LRU order,
-        benchmark rows first.  Re-entrant on the lock."""
+        returns how many.  Rows of a kernel not yet read stay lists.
+        Bounded caches append the entries to the LRU order, benchmark rows
+        first.  Re-entrant on the lock."""
         added: list[tuple[int, str, str, int]] = []
         with self._lock:
             base = self._next_order
-            for (head, tail), (block, positions) in bench.items():
+            for (head, tail), rows in bench.items():
                 if only_gpu is not None and head.split("|", 1)[0] != only_gpu:
                     continue
-                stored = self._blocks.get((head, tail))
-                if stored is not None:
-                    new = stored.index(block.sizes) < 0
-                    block = block.take(np.flatnonzero(new))
-                    positions = positions[new]
-                self._store((head, tail), block, base + positions)
-                added += [(p, head, tail, size) for p, size in zip(
-                    positions.tolist(), block.sizes.tolist())]
+                block = self._blocks.get((head, tail))
+                loaded = self._loaded.get((head, tail))
+                stored = (loaded.sizes if loaded is not None
+                          else block.sizes.tolist() if block is not None
+                          else [])
+                target = loaded if loaded is not None else _Rows(rows.conv_type)
+                appended = target.extend(rows, set(stored), base)
+                if not appended:
+                    continue
+                if block is not None:
+                    self._store((head, tail), *target.pack())
+                else:
+                    self._loaded[head, tail] = target
+                    self._bench_entries += len(appended)
+                    self._next_order = max(
+                        self._next_order, max(order for order, _ in appended) + 1)
+                added += [(order, head, tail, size) for order, size in appended]
             fresh = {key: data for key, data in configs.items()
                      if key not in self._configs
                      and (only_gpu is None or key.split("|", 1)[0] == only_gpu)}

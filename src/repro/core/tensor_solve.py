@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import re
 import threading
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -50,6 +49,7 @@ import repro.observability as observability
 import repro.telemetry as telemetry
 from repro.core.benchmarker import KernelBenchmark
 from repro.core.config import Configuration, MicroConfig
+from repro.core.delta import DeltaStats, geometry_family
 from repro.core.wr import _record_wr_provenance, t1_table
 from repro.errors import OptimizationError
 
@@ -244,22 +244,6 @@ def solve_network_wr(
 # ---------------------------------------------------------------------------
 
 
-_BATCH_COMPONENT = re.compile(r"n\d+")
-
-
-def geometry_family(cache_key: str) -> str:
-    """A geometry cache key with its mini-batch component wildcarded.
-
-    Benchmark rows are stored per *micro*-batch geometry
-    (``forward:n8c64...``) while plans are keyed by the *mini*-batch
-    geometry (``forward:n32c64...``); both belong to one kernel family.
-    Invalidation (bench rows changed at any size) must therefore match on
-    the batch-normalized key, which this helper produces
-    (``forward:n*c64...``).
-    """
-    return _BATCH_COMPONENT.sub("n*", cache_key, count=1)
-
-
 def bench_fingerprint(bench: KernelBenchmark) -> tuple:
     """Value identity of a benchmark table (rows, order, and sizes).
 
@@ -273,33 +257,6 @@ def bench_fingerprint(bench: KernelBenchmark) -> tuple:
     return tuple(column.tobytes() for column in (
         block.sizes, block.offsets, block.algos, block.times,
         block.workspaces))
-
-
-@dataclass
-class DeltaStats:
-    """Monotonic counters of one :class:`DeltaSolver` (read freely)."""
-
-    #: ``solve_network`` calls answered entirely from cached buckets.
-    full_solves_avoided: int = 0
-    #: Calls that re-solved a strict subset and recombined with the cache.
-    delta_solves: int = 0
-    #: Calls that had to solve every kernel (cold start or total change).
-    full_solves: int = 0
-    kernels_solved: int = 0
-    kernels_reused: int = 0
-    #: Cache entries dropped because a fingerprint or an explicit
-    #: invalidation said the underlying bench rows changed.
-    invalidations: int = 0
-
-    def as_dict(self) -> "dict[str, int]":
-        return {
-            "full_solves_avoided": self.full_solves_avoided,
-            "delta_solves": self.delta_solves,
-            "full_solves": self.full_solves,
-            "kernels_solved": self.kernels_solved,
-            "kernels_reused": self.kernels_reused,
-            "invalidations": self.invalidations,
-        }
 
 
 @dataclass

@@ -176,18 +176,23 @@ def _optimize_from_benchmark(
 ) -> Configuration:
     batch = benchmark.geometry.n
     t1 = t1_table(benchmark, workspace_limit)
-    # A fallback in the paper's Fig. 1 sense: the kernel's unconstrained
-    # optimum at the full batch does not fit the limit, so slower (or
-    # divided) execution must cover for it.
-    unconstrained = benchmark.fastest_micro(batch)
-    constrained = t1.get(batch)
-    if unconstrained is not None and (
-        constrained is None or constrained.algo != unconstrained.algo
-    ):
-        telemetry.count("fallback.events",
-                        help="kernels whose unconstrained-fastest algorithm "
-                             "exceeds the workspace limit")
-        tspan.set("fallback", True)
+    rec = observability.recorder()
+    unconstrained: MicroConfig | None = None
+    constrained: MicroConfig | None = None
+    if telemetry.enabled() or rec:
+        # A fallback in the paper's Fig. 1 sense: the kernel's unconstrained
+        # optimum at the full batch does not fit the limit, so slower (or
+        # divided) execution must cover for it.  Only telemetry and
+        # provenance report it, so only they pay for the look-up.
+        unconstrained = benchmark.fastest_micro(batch)
+        constrained = t1.get(batch)
+        if unconstrained is not None and (
+            constrained is None or constrained.algo != unconstrained.algo
+        ):
+            telemetry.count("fallback.events",
+                            help="kernels whose unconstrained-fastest "
+                                 "algorithm exceeds the workspace limit")
+            tspan.set("fallback", True)
     telemetry.count("wr.dp_rows", batch, help="WR dynamic-program rows solved")
 
     times, choice = _wr_dp(t1, batch)
@@ -198,7 +203,6 @@ def _optimize_from_benchmark(
             f"{sorted(t1)} (policy {benchmark.policy.value})"
         )
     config = _rebuild(choice, batch)
-    rec = observability.recorder()
     if rec:
         _record_wr_provenance(
             rec, benchmark, workspace_limit, t1, times, choice, config,

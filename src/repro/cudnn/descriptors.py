@@ -169,6 +169,10 @@ def output_dims(
     return TensorDescriptor(x.n, w.k, out_h, out_w)
 
 
+#: Per-instance memos :class:`ConvGeometry` keeps beside its fields.
+_MEMOS = ("_y_desc", "_cache_key")
+
+
 @dataclass(frozen=True)
 class ConvGeometry:
     """Canonical geometry of one convolution kernel.
@@ -279,7 +283,7 @@ class ConvGeometry:
         :class:`BadParamError` on every access.  The memo is not a field,
         so equality, hashing, ``repr``, :meth:`cache_key` and
         ``dataclasses.replace`` ignore it, and pickles and copies drop it
-        (:meth:`__getstate__`).
+        (:meth:`__getstate__`); so does the :meth:`cache_key` memo.
         """
         y = self.__dict__.get("_y_desc")
         if y is None:
@@ -289,7 +293,8 @@ class ConvGeometry:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_y_desc", None)
+        for memo in _MEMOS:
+            state.pop(memo, None)
         return state
 
     @property
@@ -380,15 +385,24 @@ class ConvGeometry:
         )
 
     def cache_key(self) -> str:
-        """Stable string key for the file-based benchmark database."""
-        return (
-            f"{self.conv_type.value}:n{self.n}c{self.c}h{self.h}w{self.w}"
-            f"k{self.k}r{self.r}s{self.s}"
-            f"ph{self.pad_h}pw{self.pad_w}sh{self.stride_h}sw{self.stride_w}"
-            f"dh{self.dilation_h}dw{self.dilation_w}"
-            + ("" if self.groups == 1 else f"g{self.groups}")
-            + ("" if self.mode == ConvolutionMode.CROSS_CORRELATION else ":conv")
-        )
+        """Stable string key for the file-based benchmark database.
+
+        Built once per instance and memoized beside the fields, as
+        :attr:`y_desc` is: every plan request's key calls it.
+        """
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            key = (
+                f"{self.conv_type.value}:n{self.n}c{self.c}h{self.h}w{self.w}"
+                f"k{self.k}r{self.r}s{self.s}"
+                f"ph{self.pad_h}pw{self.pad_w}sh{self.stride_h}sw{self.stride_w}"
+                f"dh{self.dilation_h}dw{self.dilation_w}"
+                + ("" if self.groups == 1 else f"g{self.groups}")
+                + ("" if self.mode == ConvolutionMode.CROSS_CORRELATION
+                   else ":conv")
+            )
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

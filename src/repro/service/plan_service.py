@@ -62,16 +62,12 @@ from typing import TYPE_CHECKING, Callable
 
 import repro.observability as observability
 import repro.telemetry as telemetry
-from repro.core.benchmarker import benchmark_kernel
 from repro.core.cache import BenchmarkCache
 from repro.core.config import Configuration
+from repro.core.delta import DeltaStats, geometry_family
 from repro.core.policies import BatchSizePolicy
-from repro.core.tensor_solve import DeltaSolver, geometry_family
-from repro.core.wr import optimize_from_benchmark
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.device import Gpu
-from repro.cudnn.perfmodel import PerfResult
-from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.errors import (
     DeadlineExceededError,
     OptimizationError,
@@ -87,12 +83,38 @@ from repro.telemetry.locks import new_lock
 
 if TYPE_CHECKING:
     from repro.cluster.service import ClusterService
+    from repro.core.benchmarker import KernelBenchmark
+    from repro.core.tensor_solve import DeltaSolver
+    from repro.cudnn.handle import CudnnHandle
+    from repro.cudnn.perfmodel import PerfResult
 
 #: A solver: request in, ``(configuration, simulated solve seconds)`` out.
 SolveFn = Callable[[PlanRequest], "tuple[Configuration, float]"]
 
 #: A sink for the slow-request structured log (one JSON line per call).
 SlowLogFn = Callable[[str], None]
+
+
+def benchmark_kernel(
+    handle: CudnnHandle, geometry: ConvGeometry, policy: BatchSizePolicy,
+    cache: BenchmarkCache,
+) -> KernelBenchmark:
+    """:func:`repro.core.benchmarker.benchmark_kernel`, imported on the
+    first call: a service that only serves stored plans never loads the
+    benchmarker, the perf model or numpy."""
+    from repro.core import benchmarker
+
+    return benchmarker.benchmark_kernel(handle, geometry, policy, cache=cache)
+
+
+def optimize_from_benchmark(
+    bench: KernelBenchmark, workspace_limit: int, kernel: str | None = None,
+) -> Configuration:
+    """:func:`repro.core.wr.optimize_from_benchmark`, imported on the first
+    call, as :func:`benchmark_kernel` is."""
+    from repro.core import wr
+
+    return wr.optimize_from_benchmark(bench, workspace_limit, kernel=kernel)
 
 
 @dataclass
@@ -213,7 +235,13 @@ class PlanService:
         self.request_log = request_log
         self._slow_request_s = slow_request_s
         self._slow_log: SlowLogFn = slow_log if slow_log is not None else print
-        self._handle = CudnnHandle(gpu=Gpu.create(gpu), mode=ExecMode.TIMING)
+        self._gpu = Gpu.create(gpu)
+        #: The simulated device and the incremental re-optimizer, built on
+        #: first use under ``_solver_lock`` (:meth:`_device`,
+        #: :meth:`_delta_solver`): a service that only serves stored plans
+        #: never imports numpy or the solver stack.
+        self._handle: CudnnHandle | None = None
+        self._delta: DeltaSolver | None = None
         self._bench_cache = (
             bench_cache if bench_cache is not None else BenchmarkCache()
         )
@@ -242,9 +270,6 @@ class PlanService:
         ] = weakref.WeakKeyDictionary()
         self._pending = 0
         self._closed = False
-        #: Incremental re-optimizer: re-solves invalidated plans from its
-        #: per-kernel caches instead of paying a full network solve.
-        self._delta = DeltaSolver(gpu)
         #: ``cache_key() -> geometry`` for every kernel ever requested, so a
         #: benchmark refresh can rebuild the affected plans without a client.
         self._kernel_geometries: dict[str, ConvGeometry] = {}
@@ -314,11 +339,32 @@ class PlanService:
             telemetry.count(f"service.admitted.{source}",
                             help="admissions by initial serving source")
 
+    def _device(self) -> CudnnHandle:
+        """The simulated device handle, built on first use.
+
+        Caller holds ``_solver_lock``.
+        """
+        if self._handle is None:
+            from repro.cudnn.handle import CudnnHandle, ExecMode
+
+            self._handle = CudnnHandle(gpu=self._gpu, mode=ExecMode.TIMING)  # reprolint: disable=THR001 -- caller holds self._solver_lock (documented precondition)
+        return self._handle
+
+    def _delta_solver(self) -> DeltaSolver:
+        """The incremental re-optimizer, built on first use: it re-solves
+        invalidated plans from its per-kernel caches instead of paying a
+        full network solve.  Caller holds ``_solver_lock``."""
+        if self._delta is None:
+            from repro.core.tensor_solve import DeltaSolver
+
+            self._delta = DeltaSolver(self.gpu_name)  # reprolint: disable=THR001 -- caller holds self._solver_lock (documented precondition)
+        return self._delta
+
     def _default_solve(self, request: PlanRequest) -> tuple[Configuration, float]:
         """Benchmark + WR-optimize one kernel (the exact answer)."""
         with self._solver_lock:
             bench = benchmark_kernel(
-                self._handle, request.geometry, request.policy,
+                self._device(), request.geometry, request.policy,
                 cache=self._bench_cache,
             )
             config = optimize_from_benchmark(
@@ -434,7 +480,7 @@ class PlanService:
         if self.fallback_enabled:
             with self._solver_lock:
                 bench = benchmark_kernel(
-                    self._handle, request.geometry, BatchSizePolicy.UNDIVIDED,
+                    self._device(), request.geometry, BatchSizePolicy.UNDIVIDED,
                     cache=self._bench_cache,
                 )
             micro = bench.fastest_micro(request.geometry.n,
@@ -849,7 +895,9 @@ class PlanService:
             self._invalidation_epochs[family] = (
                 self._invalidation_epochs.get(family, 0) + 1
             )
-        self._delta.invalidate_family(family)
+        delta = self._delta
+        if delta is not None:  # no solver yet: nothing cached to drop
+            delta.invalidate_family(family)
         removed = self.store.invalidate_matching(
             lambda key: key.gpu == self.gpu_name
             and geometry_family(key.kernel) == family
@@ -886,10 +934,10 @@ class PlanService:
         policy = BatchSizePolicy(key.policy)
         with self._solver_lock:
             bench = benchmark_kernel(
-                self._handle, geometry, policy, cache=self._bench_cache
+                self._device(), geometry, policy, cache=self._bench_cache
             )
             try:
-                configs = self._delta.solve_network(
+                configs = self._delta_solver().solve_network(
                     {key.kernel: bench}, key.workspace_limit
                 )
             except (OptimizationError, SolverError):
@@ -917,15 +965,21 @@ class PlanService:
             return self._closed
 
     def metrics_summary(self) -> dict[str, object]:
-        """Service + store counters in one JSON-safe mapping."""
+        """Service + store counters in one JSON-safe mapping.
+
+        The delta counters read zero, without building the delta solver,
+        until a solve has built it.
+        """
         with self._lock:
             stats = self.stats.as_dict()
+        delta = self._delta
         return {
             "gpu": self.gpu_name,
             "max_pending": self.max_pending,
             "service": stats,
             "store": self.store.snapshot(),
-            "delta": self._delta.stats.as_dict(),
+            "delta": (delta.stats if delta is not None
+                      else DeltaStats()).as_dict(),
             "bench_cache": {
                 "hits": self._bench_cache.hits,
                 "misses": self._bench_cache.misses,

@@ -100,12 +100,15 @@ WIRE_ERRORS: dict[str, type[Exception]] = {
 # ---------------------------------------------------------------------------
 
 
+#: The canonical envelope encoder, built once: ``json.dumps`` with options
+#: builds a new encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode_envelope(msg_type: str, body: object, msg_id: int) -> bytes:
     """Canonical JSON payload bytes for one envelope (no length prefix)."""
-    payload = json.dumps(
-        {"body": body, "id": msg_id, "type": msg_type, "v": WIRE_VERSION},
-        sort_keys=True,
-        separators=(",", ":"),
+    payload = _ENCODER.encode(
+        {"body": body, "id": msg_id, "type": msg_type, "v": WIRE_VERSION}
     ).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise WireProtocolError(

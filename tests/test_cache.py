@@ -410,6 +410,23 @@ class TestRowStore:
         got.clear()
         assert cache.get_benchmark(self.GPU, g) == sample_results()
 
+    def test_import_counts_without_packing(self):
+        """An import's count, ``len``, counters, ``dirty`` and re-export
+        come from the loaded lists: nothing is packed until a read."""
+        g = make_geometry(n=4)
+        source = BenchmarkCache()
+        source.put_benchmarks(self.GPU, g, {4: sample_results(),
+                                            2: _ROW_VARIANTS[2]})
+        cache = BenchmarkCache()
+        assert cache.import_payload(source.export_payload()) == 2
+        assert cache.import_payload(source.export_payload()) == 0  # keep-local
+        assert (len(cache), cache.dirty, cache.hits, cache.misses) == (
+            2, True, 0, 0)
+        assert cache.export_payload() == source.export_payload()
+        assert not cache._blocks
+        assert cache.get_benchmark(self.GPU, g.with_batch(2)) == _ROW_VARIANTS[2]
+        assert len(cache._blocks) == 1 and not cache._loaded
+
     @pytest.mark.parametrize("route", ["load", "import"])
     def test_identical_put_after_restore_is_silent(self, tmp_path, route):
         path = tmp_path / "bench.json"
@@ -423,7 +440,11 @@ class TestRowStore:
         else:
             cache = BenchmarkCache()
             cache.import_payload(source.export_payload())
-        assert len(cache._blocks) == 1  # one block for the kernel's sizes
+        # Loaded rows stay lists until the first read packs them into one
+        # block for the kernel's sizes.
+        assert (len(cache._blocks), len(cache._loaded)) == (0, 1)
+        assert cache.has_benchmark(self.GPU, g)
+        assert (len(cache._blocks), len(cache._loaded)) == (1, 0)
         seen = []
         cache.add_invalidation_listener(lambda gpu, geo: seen.append(geo.n))
         cache.put_benchmarks(self.GPU, g, {4: sample_results(),
@@ -510,6 +531,24 @@ class _RowModel:
         if old is not None and old != list(rows):
             self.notified.append(geometry)
 
+    def import_payload(self, payload, only_gpu):
+        """Keep-local: add the keys not held, in payload order, then evict."""
+        added = 0
+        for key, rows in payload["benchmarks"].items():
+            if only_gpu is not None and key.split("|")[0] != only_gpu:
+                continue
+            if key not in self.rows:
+                self.rows[key] = [
+                    PerfResult(FwdAlgo(r["algo"]), Status.SUCCESS, r["time"],
+                               r["workspace"]) for r in rows]
+                self.recency[key] = None
+                added += 1
+        while self.capacity is not None and len(self.rows) > self.capacity:
+            evicted, _ = self.recency.popitem(last=False)
+            del self.rows[evicted]
+            self.evicted.append(evicted)
+        return added
+
     def payload(self):
         return {
             "benchmarks": {
@@ -541,13 +580,32 @@ _OPS = st.lists(
         st.tuples(st.just("put"), _KERNEL,
                   st.dictionaries(_SIZES, _ROWS, max_size=8)),
         st.tuples(st.just("put1"), _KERNEL, _SIZES, _ROWS),
+        # A payload of one kernel's sizes, also under a second GPU when the
+        # flag is set, imported with or without the ``only_gpu`` filter.
+        st.tuples(st.just("import"), _KERNEL,
+                  st.dictionaries(_SIZES, _ROWS, max_size=8),
+                  st.sampled_from([None, "p100-sxm2"]), st.booleans()),
     ),
     max_size=40,
 )
 
 
+def _import_payload(gpu, kernel, rows, other_gpu):
+    """An ``export_payload``-shaped payload of ``kernel``'s ``rows``."""
+    gpus = (gpu, "k80") if other_gpu else (gpu,)
+    return {"benchmarks": {
+        _bench_key(name, kernel.with_batch(n)): [
+            {"conv_type": kernel.conv_type.value, "algo": int(r.algo),
+             "time": r.time, "workspace": r.workspace}
+            for r in _ROW_VARIANTS[v]]
+        for n, v in rows.items() for name in gpus
+    }, "configurations": {}}
+
+
 class TestBatchedCallsAgainstRowModel:
-    """Batched and per-row calls interleave exactly like per-row calls."""
+    """Batched and per-row calls interleave exactly like per-row calls, and
+    imported rows, packed only when first read, answer exactly as rows
+    put there."""
 
     @pytest.mark.parametrize("capacity", [None, 1, 3, 7])
     @settings(max_examples=60, deadline=None)
@@ -578,6 +636,10 @@ class TestBatchedCallsAgainstRowModel:
                 cache.put_benchmarks(gpu, kernel, rows)
                 for n, results in rows.items():
                     model.put(kernel.with_batch(n), results)
+            elif kind == "import":
+                payload = _import_payload(gpu, kernel, op[2], op[4])
+                assert cache.import_payload(payload, only_gpu=op[3]) == \
+                    model.import_payload(payload, op[3])
             else:
                 sized = kernel.with_batch(op[2])
                 cache.put_benchmark(gpu, sized, _ROW_VARIANTS[op[3]])
@@ -593,6 +655,7 @@ class TestBatchedCallsAgainstRowModel:
                 assert [_entry_key(entry) for entry in cache._recency] == \
                     list(model.recency)
             assert notified == model.notified
+            assert len(cache) == len(model.rows)
         assert json.dumps(cache.export_payload()).encode() == json.dumps(
             model.payload()).encode()
         assert cache.dirty == bool(model.rows or model.evicted)

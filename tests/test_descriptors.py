@@ -17,7 +17,7 @@ from repro.cudnn.descriptors import (
     TensorDescriptor,
     output_dims,
 )
-from repro.cudnn.enums import ConvType
+from repro.cudnn.enums import ConvolutionMode, ConvType
 from repro.errors import BadParamError
 from tests.conftest import make_geometry
 
@@ -267,6 +267,48 @@ class TestOutputMemo:
             output_dims(g.x_desc, g.w_desc, g.conv_desc) for g in geometries
         ]
         assert locks == []
+
+
+class TestCacheKeyMemo:
+    """``cache_key()`` is built once per instance and, like ``y_desc``,
+    never leaks into the geometry's identity, its copies or its pickles."""
+
+    @staticmethod
+    def spelled_out(g: ConvGeometry) -> str:
+        """The key's documented format, built without the memo."""
+        return (f"{g.conv_type.value}:n{g.n}c{g.c}h{g.h}w{g.w}k{g.k}r{g.r}"
+                f"s{g.s}ph{g.pad_h}pw{g.pad_w}sh{g.stride_h}sw{g.stride_w}"
+                f"dh{g.dilation_h}dw{g.dilation_w}"
+                + ("" if g.groups == 1 else f"g{g.groups}")
+                + ("" if g.mode.name == "CROSS_CORRELATION" else ":conv"))
+
+    def test_identity_unchanged_by_memo(self):
+        fresh, memoized = make_geometry(stride=2), make_geometry(stride=2)
+        key = memoized.cache_key()
+        assert memoized.cache_key() is key  # built once
+        assert key == self.spelled_out(fresh)
+        assert memoized == fresh and hash(memoized) == hash(fresh)
+        assert repr(memoized) == repr(fresh)
+        assert pickle.dumps(memoized) == pickle.dumps(fresh)
+        _ = memoized.y_desc  # both memos at once drop from the pickle too
+        assert pickle.dumps(memoized) == pickle.dumps(fresh)
+
+    def test_copies_and_derived_geometries_build_their_own_key(self):
+        g = make_geometry(n=8, c=4, k=6)
+        g.cache_key()
+        for other in (pickle.loads(pickle.dumps(g)), copy.copy(g),
+                      copy.deepcopy(g)):
+            assert other == g and "_cache_key" not in vars(other)
+            assert other.cache_key() == g.cache_key()
+        derived = (
+            dataclasses.replace(g, h=13, pad_h=1), g.with_batch(2),
+            g.with_type(ConvType.BACKWARD_DATA),
+            dataclasses.replace(g, groups=2).group_geometry(),
+            dataclasses.replace(g, mode=ConvolutionMode.CONVOLUTION),
+        )
+        for other in derived:
+            assert other.cache_key() == self.spelled_out(other)
+            assert other.cache_key() != g.cache_key()
 
 
 @given(

@@ -259,3 +259,40 @@ class TestOnPerfModel:
         res = optimize_kernel(timing_handle, g, 4 * MIB,
                               BatchSizePolicy.POWER_OF_TWO)
         assert res.configuration.batch == 24
+
+
+class TestFallbackReport:
+    """The Fig. 1 fallback (the unconstrained-fastest algorithm at the full
+    batch overflows the limit) is looked up only for telemetry and
+    provenance, which report it; the plan never depends on it."""
+
+    LIMIT = 8 * MIB
+
+    def test_looked_up_only_when_reported(self, timing_handle, monkeypatch):
+        import repro.observability as observability
+        import repro.telemetry as telemetry
+        from repro.core.benchmarker import KernelBenchmark, benchmark_kernel
+
+        bench = benchmark_kernel(timing_handle, CONV2,
+                                 BatchSizePolicy.POWER_OF_TWO)
+        lookups = []
+        fastest_micro = KernelBenchmark.fastest_micro
+
+        def spy(self, *args, **kwargs):
+            lookups.append(args)
+            return fastest_micro(self, *args, **kwargs)
+
+        monkeypatch.setattr(KernelBenchmark, "fastest_micro", spy)
+        plain = optimize_from_benchmark(bench, self.LIMIT)
+        assert lookups == []
+        with telemetry.capture() as session:
+            traced = optimize_from_benchmark(bench, self.LIMIT)
+        assert session.metrics.value("fallback.events") == 1.0
+        (span,) = session.tracer.find("optimize.wr")
+        assert span.attributes["fallback"] is True
+        with observability.capture() as recorder:
+            recorded = optimize_from_benchmark(bench, self.LIMIT)
+        (rejected,) = recorder.events_named("candidate.rejected.workspace")
+        assert rejected.detail["micro_batch"] == CONV2.n
+        assert lookups == [(CONV2.n,)] * 2
+        assert plain == traced == recorded
