@@ -34,6 +34,7 @@ the static model declares.
 from __future__ import annotations
 
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import repro.telemetry as telemetry
 from repro.cluster.scheduler import SolveGroup, estimate_cost, place_wave
@@ -116,8 +117,15 @@ class ClusterService:
         One injector *shared* by all shards, drawn in serving order.
     bench_capacity:
         LRU bound of each shard's own benchmark cache (``None`` unbounded).
-    capacity / ttl_s / max_pending / workers / fallback / solve_fn /
-    request_log / slow_request_s / slow_log:
+    workers:
+        Solver threads of the threaded path, shared by all shards: one pool
+        takes every shard's fresh solves in submission order.  The solves
+        are CPU-bound Python under one GIL, so a thread per shard would
+        only contend for it; a second thread buys no throughput, only
+        tolerance of a stalled solve (an injected stall sleeps, and the
+        other thread keeps solving meanwhile).
+    capacity / ttl_s / max_pending / fallback / solve_fn / request_log /
+    slow_request_s / slow_log:
         Forwarded to every shard's :class:`~repro.service.PlanService`.
     """
 
@@ -152,6 +160,11 @@ class ClusterService:
         self.shard_ids: list[str] = [
             ShardMap.shard_id(index) for index in range(shards)
         ]
+        #: The one solver pool of every shard; :meth:`close` shuts it down
+        #: once its shards are closed.
+        self._pool = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="plan-service"
+        )
         self._shards: dict[str, PlanService] = {}
         for sid in self.shard_ids:
             self._shards[sid] = PlanService(
@@ -159,7 +172,6 @@ class ClusterService:
                 capacity=capacity,
                 ttl_s=ttl_s,
                 max_pending=max_pending,
-                workers=workers,
                 fallback=fallback,
                 clock=clock_factory() if clock_factory is not None else None,
                 faults=faults,
@@ -169,6 +181,7 @@ class ClusterService:
                 slow_request_s=slow_request_s,
                 slow_log=slow_log,
                 shard_id=sid,
+                pool=self._pool,
             )
         #: Guards the router's counters below -- and nothing else.  Never
         #: held across a shard call (see module docstring).
@@ -219,8 +232,10 @@ class ClusterService:
         return all(shard.closed for shard in self.shards())
 
     def close(self, wait: bool = True) -> None:
+        """Close every shard, then shut the shared solver pool down."""
         for shard in self.shards():
             shard.close(wait=wait)
+        self._pool.shutdown(wait=wait)
 
     def __enter__(self) -> "ClusterService":
         return self

@@ -64,13 +64,7 @@ class ShardMap:
     def __init__(self, devices: "tuple[str, ...] | list[str]",
                  shards: int) -> None:
         names = tuple(devices)
-        if not names:
-            raise ValueError("need at least one device")
-        if shards < len(names):
-            raise ValueError(
-                f"{shards} shard(s) cannot cover {len(names)} device(s); "
-                f"need shards >= len(devices)"
-            )
+        self._check(names, shards)
         self.devices = names
         self.shards = shards
         #: shard id -> device it serves (round-robin striping).
@@ -84,6 +78,17 @@ class ShardMap:
             device = names[index % len(names)]
             self.device_shards.setdefault(device, []).append(
                 self.shard_id(index)
+            )
+
+    @staticmethod
+    def _check(devices: "tuple[str, ...]", shards: int) -> None:
+        """Raise ``ValueError`` unless ``shards`` can cover ``devices``."""
+        if not devices:
+            raise ValueError("need at least one device")
+        if shards < len(devices):
+            raise ValueError(
+                f"{shards} shard(s) cannot cover {len(devices)} device(s); "
+                f"need shards >= len(devices)"
             )
 
     @staticmethod
@@ -141,7 +146,10 @@ class ShardMap:
         The striping assignments are re-derived and cross-checked against
         the document's, so a hand-edited map that disagrees with this
         build's placement function is rejected instead of silently
-        re-routing keys.
+        re-routing keys.  The document must list one assignment per shard,
+        and that is checked before anything is built: decoding costs time
+        and memory in proportion to the document, whatever its ``shards``
+        claims.
         """
         if not isinstance(document, dict):
             raise ClusterError(
@@ -166,11 +174,17 @@ class ShardMap:
         if not isinstance(shards, int) or isinstance(shards, bool):
             raise ClusterError("shard map 'shards' must be an integer")
         try:
-            built = cls(tuple(devices), shards)
+            cls._check(tuple(devices), shards)
         except ValueError as exc:
             raise ClusterError(f"shard map is inconsistent: {exc}") from exc
         recorded = document.get("assignments")
-        if recorded is not None and recorded != built.to_dict()["assignments"]:
+        if not isinstance(recorded, dict) or len(recorded) != shards:
+            raise ClusterError(
+                f"shard map 'assignments' must map each of its {shards} "
+                f"shards to a device"
+            )
+        built = cls(tuple(devices), shards)
+        if recorded != built.to_dict()["assignments"]:
             raise ClusterError(
                 "shard map 'assignments' disagree with this build's "
                 "striping; regenerate the map instead of hand-editing it"

@@ -36,7 +36,7 @@ with fallbacks disabled, :class:`~repro.errors.SolverError`) last.
 Two front-ends drive the same stages; only coalescing and time differ:
 
 * the **threaded** path (:meth:`PlanService.submit` / :meth:`wait` /
-  :meth:`request`) coalesces onto an in-flight future, runs one worker-pool
+  :meth:`request`) coalesces onto an in-flight future, runs one solver-pool
   job per fresh key, stalls in real time and bounds the wait with
   ``future.result(timeout)``;
 * the **wave** path (:meth:`PlanService.wave`, :class:`PlanWave`) serves a
@@ -55,6 +55,7 @@ import dataclasses
 import json
 import threading
 import weakref
+from concurrent import futures
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
@@ -154,7 +155,8 @@ class PlanService:
         Admission limit: maximum simultaneously outstanding requests; the
         next submission raises :class:`~repro.errors.ServiceOverloadedError`.
     workers:
-        Worker-pool size for the threaded path.
+        Solver threads of the threaded path's own pool (ignored when
+        ``pool`` is given).
     fallback:
         Whether timeouts/solver faults degrade to the ``undivided`` plan;
         when ``False`` they raise instead.
@@ -191,6 +193,13 @@ class PlanService:
     shard_id:
         The id a :class:`~repro.cluster.ClusterService` gives this shard;
         stamped on every response and ticket (``""`` for a lone service).
+    pool:
+        A solver pool shared with other services: a
+        :class:`~repro.cluster.ClusterService` hands its one pool to every
+        shard, which queues its fresh solves there in submission order.
+        The pool's owner shuts it down; this service's :meth:`close`
+        cancels only its own queued solves.  ``None`` (the default) builds
+        a private pool of ``workers`` threads, shut down by :meth:`close`.
     """
 
     def __init__(
@@ -211,6 +220,7 @@ class PlanService:
         slow_request_s: float | None = None,
         slow_log: SlowLogFn | None = None,
         shard_id: str = "",
+        pool: ThreadPoolExecutor | None = None,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -256,6 +266,9 @@ class PlanService:
         self._inflight: dict[
             PlanKey, Future[tuple[Configuration, float, float]]
         ] = {}
+        #: The pool job of each in-flight solve (same keys as
+        #: ``_inflight``): what :meth:`close` cancels if it has not started.
+        self._jobs: dict[PlanKey, Future[None]] = {}
         #: Trace ids of requests that coalesced onto each solve; drained by
         #: the solve stage and attached to its span as links (only
         #: populated while telemetry is enabled and requests are traced, so
@@ -276,7 +289,8 @@ class PlanService:
         #: Per-family invalidation epochs; a solve whose family epoch moved
         #: while it ran was computed from stale rows and must not be stored.
         self._invalidation_epochs: dict[str, int] = {}
-        self._executor = ThreadPoolExecutor(
+        self._owns_pool = pool is None
+        self._executor = pool if pool is not None else ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="plan-service"
         )
         self._bench_cache.add_invalidation_listener(self._on_bench_refresh)
@@ -284,11 +298,31 @@ class PlanService:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self, wait: bool = True) -> None:
-        """Stop accepting work and shut the worker pool down."""
+        """Stop accepting work, refuse the queued solves, stop the pool.
+
+        A solve still queued resolves its tickets with
+        :class:`~repro.errors.ServiceOverloadedError`, as a submission to a
+        closed service would; a running solve finishes, and ``wait`` waits
+        for it.  A shared pool keeps serving its other services: only its
+        owner shuts it down.
+        """
         with self._lock:
             self._closed = True
+            jobs = [(key, job, self._inflight[key])
+                    for key, job in self._jobs.items()]
         self._bench_cache.remove_invalidation_listener(self._on_bench_refresh)
-        self._executor.shutdown(wait=wait, cancel_futures=True)
+        running = []
+        for key, job, future in jobs:
+            if job.cancel():
+                self._retire(key)
+                future.set_exception(
+                    ServiceOverloadedError("plan service is closed"))
+            else:
+                running.append(job)
+        if self._owns_pool:
+            self._executor.shutdown(wait=wait)
+        elif wait:
+            futures.wait(running)
 
     def __enter__(self) -> "PlanService":
         return self
@@ -449,7 +483,8 @@ class PlanService:
         return configuration, solve_seconds, duration
 
     def _retire(self, key: PlanKey) -> None:
-        """Forget a finished solve: its in-flight future and leftover links.
+        """Forget a finished solve: its in-flight future, pool job and
+        leftover links.
 
         Joiners that slipped in between the solve's link drain and this
         removal lose their link (they still get the result); dropping the
@@ -457,6 +492,7 @@ class PlanService:
         """
         with self._lock:
             self._inflight.pop(key, None)
+            self._jobs.pop(key, None)
             self._coalesced_traces.pop(key, None)
 
     def _fallback(
@@ -630,7 +666,9 @@ class PlanService:
             future = Future()
             self._inflight[key] = future
             self._account("fresh")
-        self._executor.submit(self._run, request, key, future)
+            # Queued under the lock, so close() sees every job to cancel.
+            self._jobs[key] = self._executor.submit(
+                self._run, request, key, future)
         return PlanTicket(request, key, "fresh", now, future=future,
                           shard=self.shard_id)
 

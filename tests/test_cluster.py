@@ -6,10 +6,18 @@ plans are byte-identical to a single-shard service's for the same key,
 work stealing fires exactly at the watermark and respects thief headroom,
 a mixed-device soak is byte-deterministic with zero drops, per-shard
 counters appear as labeled Prometheus series, and a merged cluster
-snapshot warm-starts a fresh cluster with zero solver invocations.
+snapshot warm-starts a fresh cluster with zero solver invocations.  The
+threaded path runs every shard's solves on one shared pool, in submission
+order, without breaking any shard's deadline ladder.
 """
 
+import dataclasses
+import sys
+import threading
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.telemetry as telemetry
 from repro.cluster import ClusterService, ShardMap, stable_shard_hash
@@ -59,6 +67,39 @@ def serve_wave(cluster, requests):
     for request in requests:
         wave.add(request)
     return wave.serve()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**64)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _shard_map_document(draw):
+    """A shard map with at most one field replaced by any JSON or removed."""
+    devices = draw(st.lists(st.sampled_from(DEVICES) | st.text(max_size=4),
+                            max_size=3))
+    shards = draw(st.integers(-1, 5))
+    document = {"kind": SHARD_MAP_KIND,
+                "schema_version": SHARD_MAP_SCHEMA_VERSION,
+                "devices": devices, "shards": shards}
+    try:
+        document["assignments"] = ShardMap(devices, shards).to_dict()[
+            "assignments"]
+    except ValueError:
+        pass  # no map covers these devices: assignments stay absent
+    field = draw(st.sampled_from([None, *document]))
+    if field is not None:
+        if draw(st.booleans()):
+            del document[field]
+        else:
+            document[field] = draw(_JSON | st.just(3_000_000)
+                                   | st.integers(-2**70, 2**70))
+    return document
 
 
 class TestShardMap:
@@ -137,6 +178,32 @@ class TestShardMap:
         document["assignments"]["shard-0"] = "v100-sxm2"
         with pytest.raises(ClusterError, match="hand-editing"):
             ShardMap.from_dict(document)
+
+    def test_shard_count_is_bounded_by_the_document(self):
+        """A map builds no more shards than the document assigns: a bare
+        count costs nothing and decodes to a ClusterError."""
+        document = ShardMap(DEVICES, 2).to_dict()
+        for shards in (3_000_000, 10**18):
+            for assignments in (None, document["assignments"]):
+                damaged = {**document, "shards": shards,
+                           "assignments": assignments}
+                started = time.perf_counter()
+                with pytest.raises(ClusterError, match="assignments"):
+                    ShardMap.from_dict(damaged)
+                assert time.perf_counter() - started < 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=_shard_map_document() | _JSON)
+    def test_any_json_decodes_or_raises_cluster_error(self, document):
+        try:
+            built = ShardMap.from_dict(document)
+        except ClusterError:
+            return
+        again = built.to_dict()
+        for field in ("kind", "schema_version", "devices", "shards",
+                      "assignments"):
+            assert again[field] == document[field]
+        assert ShardMap.from_dict(again).to_dict() == again
 
 
 class TestRouting:
@@ -322,6 +389,187 @@ class TestFacade:
         cluster.close()
         assert cluster.closed
         assert all(shard.closed for shard in cluster.shards())
+
+
+class SolveSpy:
+    """A ``solve_fn`` that records which thread ran each solve, in order.
+
+    A solve whose kernel is in ``held`` waits for ``release`` first.
+    """
+
+    def __init__(self, held=()):
+        self.held = set(held)
+        self.release = threading.Event()
+        self.lock = threading.Lock()
+        self.calls = []
+        self.threads = []
+
+    def __call__(self, request):
+        with self.lock:
+            self.calls.append(request.kernel)
+            self.threads.append(threading.current_thread())
+        if request.kernel in self.held:
+            assert self.release.wait(timeout=10)
+        return fake_config(), 0.25
+
+    def started(self, count, timeout=5.0):
+        """Wait until ``count`` solves have started."""
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            with self.lock:
+                if len(self.calls) >= count:
+                    return True
+            time.sleep(0.005)
+        return False
+
+
+def device_request(index: int, **kw) -> PlanRequest:
+    """The ``index``-th distinct key, alternating shard-0 and shard-1."""
+    return make_request(kernel=f"k{index}", c=3 + index,
+                        shard=DEVICES[index % 2], **kw)
+
+
+class TestSolverPool:
+    """Every shard's threaded solves share one pool of ``workers``."""
+
+    def test_one_worker_solves_every_shard_in_submission_order(self):
+        spy = SolveSpy(held={"k0"})
+        cluster = ClusterService(DEVICES, 2, workers=1, solve_fn=spy)
+        try:
+            tickets = [cluster.submit(device_request(i)) for i in range(6)]
+            assert {t.shard for t in tickets} == {"shard-0", "shard-1"}
+            spy.release.set()
+            responses = [cluster.wait(t) for t in tickets]
+        finally:
+            spy.release.set()
+            cluster.close()
+        assert [r.shard for r in responses] == [t.shard for t in tickets]
+        assert spy.calls == [f"k{i}" for i in range(6)]
+        assert len(set(spy.threads)) == 1
+
+    def test_two_workers_run_at_most_two_solves(self):
+        spy = SolveSpy(held={f"k{i}" for i in range(6)})
+        cluster = ClusterService(DEVICES, 2, workers=2, solve_fn=spy)
+        try:
+            tickets = [cluster.submit(device_request(i)) for i in range(6)]
+            assert spy.started(2)
+            time.sleep(0.1)  # room for a third thread, if there were one
+            with spy.lock:
+                assert len(spy.calls) == 2
+            spy.release.set()
+            for ticket in tickets:
+                cluster.wait(ticket)
+        finally:
+            spy.release.set()
+            cluster.close()
+        assert len(spy.calls) == 6
+        assert len(set(spy.threads)) <= 2
+
+    def test_close_stops_every_solver_thread(self):
+        spy = SolveSpy()
+        cluster = ClusterService(DEVICES, 2, workers=2, solve_fn=spy)
+        for i in range(4):
+            cluster.request(device_request(i))
+        cluster.close()
+        assert spy.threads
+        assert all(t.name.startswith("plan-service") for t in spy.threads)
+        assert not any(t.is_alive() for t in spy.threads)
+
+    def test_deadline_holds_behind_another_shards_stall(self):
+        """A shard-1 request queued behind a stalled shard-0 solve still
+        degrades on its own deadline: shard-1's solver lock is free, so its
+        undivided fallback does not wait for the pool."""
+        spy = SolveSpy(held={"k0"})
+        cluster = ClusterService(DEVICES, 2, workers=1, solve_fn=spy)
+        try:
+            stalled = cluster.submit(device_request(0))
+            assert spy.started(1)
+            # A first fallback at another limit warms shard-1's undivided
+            # rows, so the timed request measures the wait, not a Find.
+            request = device_request(1, deadline_s=0.05)
+            warm = cluster.request(
+                dataclasses.replace(request, workspace_limit=32 * MIB))
+            assert warm.source == "fallback"
+            started = time.perf_counter()
+            response = cluster.request(request)
+            elapsed = time.perf_counter() - started
+            assert response.shard == "shard-1"
+            assert response.source == "fallback"
+            assert response.fallback_reason == "timeout"
+            assert elapsed < 0.05 + 0.5
+            assert not spy.release.is_set()  # shard-0 was stalled throughout
+            spy.release.set()
+            assert cluster.wait(stalled).source == "fresh"
+        finally:
+            spy.release.set()
+            cluster.close()
+
+    def test_closing_a_shard_refuses_only_its_own_queued_solves(self):
+        spy = SolveSpy(held={"k0"})
+        cluster = ClusterService(DEVICES, 2, workers=1, solve_fn=spy)
+        try:
+            running = cluster.submit(device_request(0))
+            assert spy.started(1)
+            queued = [cluster.submit(device_request(i)) for i in (1, 2, 3)]
+            shard1 = cluster.shard("shard-1")
+            shard1.close(wait=False)
+            for ticket in queued:
+                if ticket.shard == "shard-1":
+                    with pytest.raises(ServiceOverloadedError,
+                                       match="closed"):
+                        cluster.wait(ticket)
+            assert shard1.pending == 0
+            assert not shard1._inflight
+            spy.release.set()
+            assert cluster.wait(running).source == "fresh"
+            assert cluster.wait(queued[1]).source == "fresh"  # k2, shard-0
+            assert spy.calls == ["k0", "k2"]
+        finally:
+            spy.release.set()
+            cluster.close()
+        assert cluster.shard("shard-0").pending == 0
+
+    def test_stress_submit_wait_and_close(self):
+        """More solver threads than cores, clients on every shard, a close
+        mid-traffic: every admitted ticket resolves, the counters agree
+        with the spy, and no shard keeps a queue slot or an in-flight key."""
+        spy = SolveSpy()
+        cluster = ClusterService(DEVICES, 4, workers=4, solve_fn=spy)
+        outcomes = []
+
+        def client(offset):
+            for i in range(40):
+                try:
+                    ticket = cluster.submit(device_request((i + offset) % 24))
+                except ServiceOverloadedError:
+                    outcomes.append("refused")
+                    continue
+                try:
+                    outcomes.append(cluster.wait(ticket).source)
+                except ServiceOverloadedError:
+                    outcomes.append("closed")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client, args=(offset,))
+                       for offset in range(0, 24, 4)]
+            for thread in clients:
+                thread.start()
+            assert spy.started(8)
+            cluster.close()
+            for thread in clients:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert len(outcomes) == 6 * 40
+        stats = cluster.stats
+        assert stats.requests == len(outcomes) - outcomes.count("refused")
+        assert stats.solver_invocations == len(spy.calls)
+        for shard in cluster.shards():
+            assert shard.pending == 0
+            assert not shard._inflight and not shard._jobs
 
 
 class TestClusterTelemetry:

@@ -695,6 +695,35 @@ class TestServiceValidation:
         with pytest.raises(ServiceOverloadedError):
             svc.submit(make_request())
 
+    def test_close_refuses_the_queued_solves(self):
+        """A solve still queued at close() resolves its tickets with the
+        closed-service error instead of leaving them blocked."""
+        started, release = threading.Event(), threading.Event()
+
+        def solve(request):
+            started.set()
+            assert release.wait(timeout=10)
+            return fake_config(), 0.1
+
+        svc = PlanService(solve_fn=solve, workers=1)
+        try:
+            running = svc.submit(make_request(kernel="a", c=3))
+            assert started.wait(timeout=10)
+            queued = svc.submit(make_request(kernel="b", c=4))
+            coalesced = svc.submit(make_request(kernel="b", c=4))
+            svc.close(wait=False)
+            for ticket in (queued, coalesced):
+                with pytest.raises(ServiceOverloadedError, match="closed"):
+                    svc.wait(ticket)
+            assert svc.pending == 1
+            assert list(svc._inflight) == [running.key]
+            release.set()
+            assert svc.wait(running).source == "fresh"
+            assert svc.pending == 0 and not svc._inflight
+        finally:
+            release.set()
+            svc.close()
+
     def test_metrics_summary_shape(self):
         svc = PlanService(clock=ManualClock(),
                           solve_fn=lambda r: (fake_config(), 0.1))
