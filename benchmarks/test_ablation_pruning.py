@@ -10,7 +10,8 @@ i.e. is the *exact* front actually needed?
 import math
 
 from benchmarks.conftest import run_once
-from repro.core import BenchmarkCache, optimize_network_wd
+from repro.core.cache import BenchmarkCache
+from repro.core.optimizer import optimize_network_wd
 from repro.core.policies import BatchSizePolicy
 from repro.cudnn.device import Gpu
 from repro.cudnn.handle import CudnnHandle, ExecMode

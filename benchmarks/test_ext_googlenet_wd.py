@@ -8,12 +8,9 @@ WD instance small enough to solve in milliseconds.
 """
 
 from benchmarks.conftest import run_once
-from repro.core import (
-    BatchSizePolicy,
-    BenchmarkCache,
-    optimize_network_wd,
-    optimize_network_wr,
-)
+from repro.core.cache import BenchmarkCache
+from repro.core.optimizer import optimize_network_wd, optimize_network_wr
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn.device import Gpu
 from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.frameworks.model_zoo import build_googlenet

@@ -3,13 +3,12 @@
 Solves ResNet-50 (batch 32, P100) over a 32-point geometric grid of
 workspace limits twice: once with the serial reference -- one Python DP
 per (kernel, limit) pair -- and once with the tensorized network-wide
-solve (the ``_tensor_shared_sweeps`` core behind
-``sweep_network_wr(backend="tensor")``), asserting the configurations are
-bit-identical at every limit and the tensor path at least 5x faster.  The
-timed region is the *solve* on both sides; the per-limit ``NetworkPlan``
-object assembly is excluded because both backends share it unchanged
-(``tests/test_tensor_solve.py`` property-tests the full
-``sweep_network_wr`` equality separately).  A second phase mutates one
+solve (``repro.core.sweep._tensor_shared_sweeps``), asserting the
+configurations are bit-identical at every limit and the tensor path at
+least 5x faster.  The timed region is the *solve* on both sides; the
+per-limit ``NetworkPlan`` object assembly of ``sweep_network_wr`` is
+excluded (``tests/test_tensor_solve.py`` property-tests the tensor sweeps
+against the full serial ``sweep_network_wr`` separately).  A second phase mutates one
 kernel's benchmark rows and re-solves through the
 :class:`~repro.core.tensor_solve.DeltaSolver`, asserting the repair runs
 zero full network solves and matches a from-scratch serial solve.  Both

@@ -16,11 +16,11 @@ quantified on our substrate:
   cannot be offloaded, so micro-batching composes with offloading.
 """
 
-import math
-
 from benchmarks.conftest import run_once
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
 from repro.core.benchmarker import benchmark_kernel
+from repro.core.handle import UcudnnHandle
+from repro.core.options import Options
+from repro.core.policies import BatchSizePolicy
 from repro.core.wr import optimize_from_benchmark
 from repro.cudnn.device import Gpu
 from repro.cudnn.enums import AlgoFamily, ConvType
@@ -31,7 +31,7 @@ from repro.frameworks.model_zoo import build_alexnet
 from repro.harness.experiments import conv_geometries_of
 from repro.harness.tables import Table, fmt_ms
 from repro.memory import memory_report, plan_offload
-from repro.units import GIB, MIB
+from repro.units import MIB
 
 FFT_FAMILIES = {AlgoFamily.FFT, AlgoFamily.FFT_TILING}
 GEMM_FAMILIES = {AlgoFamily.IMPLICIT_GEMM, AlgoFamily.IMPLICIT_PRECOMP_GEMM,

@@ -15,7 +15,9 @@ Run:  python examples/alexnet_caffe_time.py [--gpu p100-sxm2|k80|v100-sxm2]
 
 import argparse
 
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
+from repro.core.handle import UcudnnHandle
+from repro.core.options import Options
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn.device import Gpu
 from repro.cudnn.handle import ExecMode
 from repro.frameworks import export_chrome_trace, time_net

@@ -16,7 +16,9 @@ communication-hiding analysis shows why shrinking the per-GPU batch instead
 Run:  python examples/data_parallel_scaling.py
 """
 
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
+from repro.core.handle import UcudnnHandle
+from repro.core.options import Options
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn.device import Gpu
 from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.frameworks import time_net

@@ -11,7 +11,9 @@ Run:  python examples/memory_report.py [--model alexnet|resnet18]
 
 import argparse
 
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
+from repro.core.handle import UcudnnHandle
+from repro.core.options import Options
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn.device import Gpu
 from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.frameworks import time_net

@@ -18,7 +18,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
+from repro.core.handle import UcudnnHandle
+from repro.core.options import Options
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn.device import Gpu
 from repro.cudnn.handle import ExecMode
 from repro.frameworks import time_net

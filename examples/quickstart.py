@@ -15,7 +15,9 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
+from repro.core.handle import UcudnnHandle
+from repro.core.options import Options
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn import api
 from repro.cudnn.descriptors import (
     ConvolutionDescriptor,

@@ -13,7 +13,9 @@ Run:  python examples/train_microbatched.py
 
 import numpy as np
 
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
+from repro.core.handle import UcudnnHandle
+from repro.core.options import Options
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn.handle import CudnnHandle
 from repro.frameworks.data import synthetic_stream
 from repro.frameworks.layers import (

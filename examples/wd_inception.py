@@ -14,11 +14,8 @@ Run:  python examples/wd_inception.py [--total-mib 120]
 
 import argparse
 
-from repro.core import (
-    BatchSizePolicy,
-    optimize_network_wd,
-    optimize_network_wr,
-)
+from repro.core.optimizer import optimize_network_wd, optimize_network_wr
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn.device import Gpu
 from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.frameworks.model_zoo import build_inception_tower

@@ -19,7 +19,9 @@ Frameworks with Micro-Batching"* (Oyama, Ben-Nun, Hoefler, Matsuoka):
 
 Quickstart::
 
-    from repro.core import UcudnnHandle, Options, BatchSizePolicy
+    from repro.core.handle import UcudnnHandle
+    from repro.core.options import Options
+    from repro.core.policies import BatchSizePolicy
     from repro.frameworks.model_zoo import build_alexnet
     from repro.frameworks import time_net
     from repro.units import MIB
@@ -30,13 +32,11 @@ Quickstart::
     report = time_net(net)
 
 ``import repro`` loads no subpackage and re-exports nothing but
-``__version__``: import each name from the module that defines it (the
-``repro.UcudnnHandle``-style shortcuts and ``repro.core``-style attribute
-access without an import are gone).  :mod:`repro.core` and
-:mod:`repro.cudnn` still offer their public names, but load each one's
-submodule on first access.  That keeps a plan server's start-up down to
-the modules serving calls: a warm server answering from its store loads
-neither numpy nor the solver stack, which load on its first solve.
+``__version__``, and no subpackage re-exports its submodules' names:
+import each name from the module that defines it.  That keeps a plan
+server's start-up down to the modules serving calls: a warm server
+answering from its store loads neither numpy nor the solver stack, which
+load on its first solve.
 
 See README.md and DESIGN.md for the full tour.
 """

@@ -290,7 +290,6 @@ def sweep_network_wr(
     limits: Iterable[int],
     policy: BatchSizePolicy = BatchSizePolicy.POWER_OF_TWO,
     cache: BenchmarkCache | None = None,
-    backend: str = "serial",
 ) -> WRNetworkSweep:
     """Per-limit :func:`~repro.core.optimizer.optimize_network_wr`, swept.
 
@@ -301,20 +300,12 @@ def sweep_network_wr(
     layer down.  A limit where any kernel is infeasible lands in ``errors``
     (the per-limit path would raise on its first infeasible kernel).
 
-    ``backend="serial"`` (default, the BENCH_sweep baseline) runs one
-    Python DP per occupied interval per distinct kernel; ``"tensor"``
-    answers each occupied *network-union* interval with one tensorized
-    network solve (see :func:`_tensor_shared_sweeps`) -- identical plans
-    and error types, and what BENCH_tensor measures.  Unlike
-    :func:`~repro.core.optimizer.optimize_network_wr`, which always solves
-    in one tensor pass, the sweep keeps both backends: the BENCH_sweep
-    gate ``wr.sweep_dp_solves`` counts the serial sweep's per-kernel DP
-    solves, and BENCH_tensor compares the two.
+    Each distinct kernel runs one Python DP per occupied interval (the
+    BENCH_sweep baseline; the gate ``wr.sweep_dp_solves`` counts these
+    solves).  :func:`_tensor_shared_sweeps` answers the same sweeps in
+    tensorized network solves; BENCH_tensor times the two against each
+    other.
     """
-    if backend not in ("serial", "tensor"):
-        raise SolverError(
-            f"unknown WR sweep backend {backend!r}; use 'serial' or 'tensor'"
-        )
     limits = tuple(int(m) for m in limits)
     benches = {
         name: benchmark_kernel(handle, g, policy, cache=cache)
@@ -322,16 +313,11 @@ def sweep_network_wr(
     }
     shared: dict[str, WRSweep] = {}
     sweeps: dict[str, WRSweep] = {}
-    if backend == "tensor":
-        shared = _tensor_shared_sweeps(benches, limits)
-        for name, bench in benches.items():
-            sweeps[name] = shared[bench.geometry.cache_key()]
-    else:
-        for name, bench in benches.items():
-            dedup_key = bench.geometry.cache_key()
-            if dedup_key not in shared:
-                shared[dedup_key] = sweep_wr(bench, limits)
-            sweeps[name] = shared[dedup_key]
+    for name, bench in benches.items():
+        dedup_key = bench.geometry.cache_key()
+        if dedup_key not in shared:
+            shared[dedup_key] = sweep_wr(bench, limits)
+        sweeps[name] = shared[dedup_key]
     plans: dict[int, NetworkPlan] = {}
     errors: dict[int, OptimizationError] = {}
     benchmark_time = sum(b.benchmark_time for b in benches.values())

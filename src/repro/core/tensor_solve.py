@@ -151,7 +151,7 @@ def solve_network_wr_outcomes(
     :class:`~repro.errors.OptimizationError` the serial solver raises
     (infeasible-limit errors are the memoized instances of
     :func:`~repro.core.wr.t1_table`; not-composable errors carry the
-    serial message verbatim).  Sweep backends and the
+    serial message verbatim).  The tensor sweeps and the
     :class:`DeltaSolver` build on this; :func:`solve_network_wr` is the
     raise-on-first-error wrapper matching the serial network optimizer.
     """

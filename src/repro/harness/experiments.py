@@ -22,21 +22,19 @@ if TYPE_CHECKING:
     # in harness.tables, which would close an import cycle through this module.
     from repro.service.soak import SoakReport
 
-from repro.core import (
-    BatchSizePolicy,
-    BenchmarkCache,
-    Options,
-    UcudnnHandle,
-    benchmark_kernel,
-    desirable_set,
+from repro.core.benchmarker import benchmark_kernel
+from repro.core.cache import BenchmarkCache
+from repro.core.config import Configuration
+from repro.core.handle import UcudnnHandle
+from repro.core.optimizer import (
     optimize_network_wd,
     optimize_network_wr,
     prepare_wd_kernels,
-    sweep_network_wd,
-    sweep_network_wr,
-    sweep_wd,
 )
-from repro.core.config import Configuration
+from repro.core.options import Options
+from repro.core.pareto import desirable_set
+from repro.core.policies import BatchSizePolicy
+from repro.core.sweep import sweep_network_wd, sweep_network_wr, sweep_wd
 from repro.core.wr import optimize_from_benchmark
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.device import Gpu, Node

@@ -539,8 +539,8 @@ def main(argv: list[str] | None = None) -> int:
                     int(metrics.value(name, 0) - counts0[name])
                     for name in SOLVER_METRICS
                 )
-                # Solver acceleration is also opt-in (tensor backend or the
-                # delta solver); the line only appears when it did work.
+                # Tensor passes and the delta solver run only on some paths;
+                # the line only appears when they did work.
                 if passes or dsolves or avoided or memo:
                     print(f"[{key} solver: {passes} tensor passes, "
                           f"{dsolves} delta solves, {avoided} full solves "

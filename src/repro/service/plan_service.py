@@ -282,6 +282,9 @@ class PlanService:
             Future[tuple[Configuration, float]],
         ] = weakref.WeakKeyDictionary()
         self._pending = 0
+        #: Solves retired so far: :meth:`submit` re-reads the store when
+        #: this moved during its lookup.
+        self._retired = 0
         self._closed = False
         #: ``cache_key() -> geometry`` for every kernel ever requested, so a
         #: benchmark refresh can rebuild the affected plans without a client.
@@ -494,6 +497,7 @@ class PlanService:
             self._inflight.pop(key, None)
             self._jobs.pop(key, None)
             self._coalesced_traces.pop(key, None)
+            self._retired += 1
 
     def _fallback(
         self, ticket: PlanTicket, reason: str
@@ -644,33 +648,39 @@ class PlanService:
         """
         key = request.key(self.gpu_name)
         now = self.clock.now()
-        cached = self.store.get(key)
-        with self._lock:
-            self._kernel_geometries[key.kernel] = request.geometry
-            if cached is not None:
-                self._admit(0)
-                self._account("cached")
-                return PlanTicket(request, key, "cached", now, cached=cached,
-                                  shard=self.shard_id)
-            self._admit(self._pending)
-            self._pending += 1
-            future = self._inflight.get(key)
-            if future is not None:
-                self._account("coalesced")
-                if request.trace_id and telemetry.enabled():
-                    self._coalesced_traces.setdefault(key, []).append(
-                        request.trace_id
-                    )
-                return PlanTicket(request, key, "coalesced", now,
-                                  future=future, shard=self.shard_id)
-            future = Future()
-            self._inflight[key] = future
-            self._account("fresh")
-            # Queued under the lock, so close() sees every job to cancel.
-            self._jobs[key] = self._executor.submit(
-                self._run, request, key, future)
-        return PlanTicket(request, key, "fresh", now, future=future,
-                          shard=self.shard_id)
+        while True:
+            retired = self._retired
+            cached = self.store.get(key)
+            with self._lock:
+                self._kernel_geometries[key.kernel] = request.geometry
+                if cached is not None:
+                    self._admit(0)
+                    self._account("cached")
+                    return PlanTicket(request, key, "cached", now,
+                                      cached=cached, shard=self.shard_id)
+                future = self._inflight.get(key)
+                if future is None and self._retired != retired:
+                    # A solve retired during the lookup and may have stored
+                    # this plan: look again rather than solve it twice.
+                    continue
+                self._admit(self._pending)
+                self._pending += 1
+                if future is not None:
+                    self._account("coalesced")
+                    if request.trace_id and telemetry.enabled():
+                        self._coalesced_traces.setdefault(key, []).append(
+                            request.trace_id
+                        )
+                    return PlanTicket(request, key, "coalesced", now,
+                                      future=future, shard=self.shard_id)
+                future = Future()
+                self._inflight[key] = future
+                self._account("fresh")
+                # Queued under the lock, so close() sees every job to cancel.
+                self._jobs[key] = self._executor.submit(
+                    self._run, request, key, future)
+            return PlanTicket(request, key, "fresh", now, future=future,
+                              shard=self.shard_id)
 
     def _run(
         self,

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import threading
 
 from repro.core.config import Configuration
 from repro.core.policies import BatchSizePolicy
@@ -273,10 +274,15 @@ def request_from_wire(data: object) -> PlanRequest:
     if not isinstance(data, dict):
         raise WireProtocolError("plan body must be an object")
     deadline = data.get("deadline_s")
+    # A deadline is a wait timeout: ``inf`` (``1e400``), NaN and values past
+    # ``threading.TIMEOUT_MAX`` would crash the wait, not bound it.
     if deadline is not None and (
         not isinstance(deadline, (int, float)) or isinstance(deadline, bool)
+        or not abs(deadline) <= threading.TIMEOUT_MAX
     ):
-        raise WireProtocolError("plan body 'deadline_s' must be null or a number")
+        raise WireProtocolError(
+            "plan body 'deadline_s' must be null or a number of seconds "
+            "within threading.TIMEOUT_MAX")
     trace = data.get("trace")
     trace_id = ""
     parent_span_id = ""
@@ -304,7 +310,9 @@ def request_from_wire(data: object) -> PlanRequest:
             parent_span_id=parent_span_id,
             shard=shard,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer field that decoded as an infinite
+        # float (``1e400``).
         raise WireProtocolError(f"corrupt wire plan request: {exc}") from exc
 
 
@@ -357,7 +365,7 @@ def response_from_wire(data: object) -> PlanResponse:
             client=str(data["client"]),
             shard=str(data.get("shard", "")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise WireProtocolError(f"corrupt wire plan response: {exc}") from exc
 
 

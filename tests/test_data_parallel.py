@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
+from repro.core.handle import UcudnnHandle
+from repro.core.options import Options
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn.device import Gpu
 from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.frameworks import time_net

@@ -11,8 +11,10 @@ on the first solve); the others start real servers under ``-X
 importtime`` and pin which modules they load.
 """
 
+import ast
 import json
 import os
+import pkgutil
 import re
 import signal
 import subprocess
@@ -71,31 +73,47 @@ def test_serving_imports_no_third_party_module():
     assert third_party == set(), sorted(third_party)
 
 
-_LAZY_PROBE = """
-import importlib, json, sys
+_PACKAGE_PROBE = """
+import json, sys
 import repro.core, repro.cudnn
-out = {"loaded": sorted(m for m in sys.modules
-                        if m.startswith(("repro.core.", "repro.cudnn.")))}
-for package in (repro.core, repro.cudnn):
-    table = package._SUBMODULE
-    out[package.__name__] = [sorted(table) == package.__all__, all(
-        getattr(package, name) is getattr(importlib.import_module(
-            f"{package.__name__}.{table[name]}"), name)
-        for name in package.__all__)]
-print(json.dumps(out))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("repro.core.", "repro.cudnn.")))))
 """
 
 
-def test_package_names_load_their_submodule_on_first_access():
-    """``import repro.core`` / ``repro.cudnn`` load no submodule, and every
-    name in ``__all__`` resolves, through the one name table, to the
-    object its submodule defines."""
+def test_core_and_cudnn_packages_load_no_submodule():
+    """``import repro.core`` / ``repro.cudnn`` load no submodule, so a
+    numpy-free submodule (``repro.core.cache``) loads without the solver
+    stack."""
     out = subprocess.run(
-        [sys.executable, "-c", _LAZY_PROBE], env=_env(), capture_output=True,
-        text=True, check=True, timeout=120,
+        [sys.executable, "-c", _PACKAGE_PROBE], env=_env(),
+        capture_output=True, text=True, check=True, timeout=120,
     )
-    assert json.loads(out.stdout) == {
-        "loaded": [], "repro.core": [True, True], "repro.cudnn": [True, True]}
+    assert json.loads(out.stdout) == []
+
+
+def test_names_are_imported_from_their_defining_module():
+    """``repro.core`` and ``repro.cudnn`` re-export nothing, so every
+    ``from repro.core import X`` / ``from repro.cudnn import X`` in the
+    repository names a submodule, never a class or function."""
+    submodules = {
+        package: {info.name for info in pkgutil.iter_modules(
+            [str(SRC.joinpath(*package.split(".")))])}
+        for package in ("repro.core", "repro.cudnn")
+    }
+    offenders = []
+    for tree in ("src", "tests", "examples", "benchmarks", "perfbench"):
+        for path in sorted((SRC.parent / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (isinstance(node, ast.ImportFrom) and node.level == 0
+                        and node.module in submodules):
+                    offenders.extend(
+                        f"{path.relative_to(SRC.parent)}:{node.lineno} "
+                        f"{node.module}.{alias.name}"
+                        for alias in node.names
+                        if alias.name not in submodules[node.module]
+                    )
+    assert offenders == []
 
 
 def _imported(log: Path) -> set:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
 from repro.core.benchmarker import benchmark_kernel
 from repro.core.cache import BenchmarkCache
-from repro.core.options import ENV_DETERMINISTIC
+from repro.core.handle import UcudnnHandle
+from repro.core.options import ENV_DETERMINISTIC, Options
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn import api
 from repro.cudnn.descriptors import (
     ConvolutionDescriptor,

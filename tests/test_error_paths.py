@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
-from repro.core.handle import VirtualAlgo
+from repro.core.handle import UcudnnHandle, VirtualAlgo
+from repro.core.options import Options
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn import api
 from repro.cudnn.descriptors import (
     ConvolutionDescriptor,

@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
+from repro.core.handle import UcudnnHandle
+from repro.core.options import Options
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn import kernels
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.enums import BwdDataAlgo, BwdFilterAlgo, ConvType, FwdAlgo

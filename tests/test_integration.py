@@ -8,7 +8,9 @@ exercised together the way a downstream user would.
 import numpy as np
 import pytest
 
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
+from repro.core.handle import UcudnnHandle
+from repro.core.options import Options
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.frameworks import time_net
 from repro.frameworks.data import synthetic_batch

@@ -108,6 +108,52 @@ class TestCoalescing:
         finally:
             svc.close()
 
+    def test_plan_stored_during_a_lookup_is_not_solved_again(self):
+        """A solve that stores its plan and retires while a submit of the
+        same key is between its store miss and the service lock must not
+        start a second solve: the submit looks the store up again."""
+
+        missed = threading.Event()
+
+        class LookupRacingStore(PlanStore):
+            #: Set to a ticket's future: the next ``get`` looks up, signals
+            #: ``missed``, and returns only once that solve has resolved.
+            wait_for = None
+
+            def get(self, key):
+                plan = super().get(key)
+                future, self.wait_for = self.wait_for, None
+                if future is not None:
+                    missed.set()
+                    future.exception(timeout=10)
+                return plan
+
+        release = threading.Event()
+
+        def solve(request):
+            assert release.wait(timeout=10)
+            return fake_config(), 0.25
+
+        store = LookupRacingStore(clock=ManualClock())
+        svc = PlanService(clock=ManualClock(), solve_fn=solve, store=store)
+        try:
+            first = svc.submit(make_request())
+            store.wait_for = first.future
+            tickets = []
+            racer = threading.Thread(
+                target=lambda: tickets.append(svc.submit(make_request())))
+            racer.start()
+            assert missed.wait(timeout=10)
+            release.set()
+            racer.join(timeout=10)
+            assert not racer.is_alive()
+            assert svc.wait(first).source == "fresh"
+            assert svc.wait(tickets[0]).source == "cached"
+            assert svc.stats.solver_invocations == 1
+        finally:
+            release.set()
+            svc.close()
+
 
 class TestDegradation:
     def test_timeout_falls_back_to_undivided(self):

@@ -24,7 +24,7 @@ from repro.core.benchmarker import benchmark_kernel
 from repro.core.mckp import MCKPItem, solve_mckp
 from repro.core.optimizer import optimize_network_wr
 from repro.core.policies import BatchSizePolicy
-from repro.core.sweep import sweep_network_wr
+from repro.core.sweep import _tensor_shared_sweeps, sweep_network_wr
 from repro.core.tensor_solve import (
     DeltaSolver,
     bench_fingerprint,
@@ -147,26 +147,27 @@ class TestTensorWR:
     @given(gs=st.lists(model_geometry(), min_size=1, max_size=3),
            limits=st.lists(limit_values, min_size=1, max_size=5))
     def test_network_sweep_backends_identical(self, handle, gs, limits):
+        """The tensor sweeps (``_tensor_shared_sweeps``, what BENCH_tensor
+        times) give every limit the serial network sweep's plan, or an
+        error of the same type."""
         geometries = {f"k{i}": g for i, g in enumerate(gs)}
         serial = sweep_network_wr(handle, geometries, limits)
-        tensor = sweep_network_wr(handle, geometries, limits,
-                                  backend="tensor")
+        shared = _tensor_shared_sweeps(network_of(handle, gs), tuple(limits))
+        tensor = {name: shared[g.cache_key()]
+                  for name, g in geometries.items()}
         for limit in limits:
             serial_err = serial.errors.get(limit)
-            tensor_err = tensor.errors.get(limit)
+            tensor_err = next((sweep.errors[limit] for sweep in tensor.values()
+                               if limit in sweep.errors), None)
             assert (serial_err is None) == (tensor_err is None)
             if serial_err is not None:
                 assert type(tensor_err) is type(serial_err)
                 continue
-            a, b = serial.plan(limit), tensor.plan(limit)
-            assert [(k.name, k.configuration) for k in a.kernels] == [
-                (k.name, k.configuration) for k in b.kernels
+            assert [(k.name, k.configuration)
+                    for k in serial.plan(limit).kernels] == [
+                (name, sweep.configurations[limit])
+                for name, sweep in tensor.items()
             ]
-
-    def test_unknown_backends_rejected(self, handle):
-        g = make_geometry()
-        with pytest.raises(SolverError):
-            sweep_network_wr(handle, {"k": g}, [MIB], backend="simd")
 
 
 #: Random MCKP instances: a few groups of items with small weights so both

@@ -9,7 +9,9 @@ and WD) produces matching loss trajectories and parameters.
 import numpy as np
 import pytest
 
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
+from repro.core.handle import UcudnnHandle
+from repro.core.options import Options
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn.handle import CudnnHandle
 from repro.frameworks.data import synthetic_batch, synthetic_stream
 from repro.frameworks.model_zoo import build_tiny_cnn

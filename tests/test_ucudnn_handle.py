@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import BatchSizePolicy, Options, UcudnnHandle
-from repro.core.cache import BenchmarkCache
-from repro.core.handle import UcudnnHandle_t, VirtualAlgo, raise_if_virtual
+from repro.core.handle import (
+    UcudnnHandle,
+    UcudnnHandle_t,
+    VirtualAlgo,
+    raise_if_virtual,
+)
+from repro.core.options import Options
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn import api
 from repro.cudnn.descriptors import (
     ConvolutionDescriptor,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import optimize_network_wd, optimize_network_wr
+from repro.core.optimizer import optimize_network_wd, optimize_network_wr
 from repro.core.policies import BatchSizePolicy
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.enums import ConvType

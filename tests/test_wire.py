@@ -69,6 +69,20 @@ def make_request(**kw) -> PlanRequest:
     return PlanRequest(**kw)
 
 
+def make_response() -> PlanResponse:
+    return PlanResponse(
+        kernel="conv1",
+        key=PlanKey(gpu=GPU, kernel="conv1", policy="powerOfTwo",
+                    workspace_limit=MIB),
+        configuration=fake_config(),
+        source="fresh",
+        solve_seconds=0.25,
+        latency_s=0.5,
+        fallback_reason="",
+        client="codec-test",
+    )
+
+
 class TestGoldenBytes:
     """The exact frame bytes are the compatibility contract; pin them."""
 
@@ -225,17 +239,7 @@ class TestBodyCodecs:
         assert request_from_wire(request_to_wire(request)) == request
 
     def test_response_round_trips(self):
-        response = PlanResponse(
-            kernel="conv1",
-            key=PlanKey(gpu=GPU, kernel="conv1", policy="powerOfTwo",
-                        workspace_limit=MIB),
-            configuration=fake_config(),
-            source="fresh",
-            solve_seconds=0.25,
-            latency_s=0.5,
-            fallback_reason="",
-            client="codec-test",
-        )
+        response = make_response()
         assert response_from_wire(response_to_wire(response)) == response
 
     def test_corrupt_geometry_is_protocol_error(self):
@@ -263,6 +267,22 @@ class TestBodyCodecs:
     def test_corrupt_response_is_protocol_error(self):
         with pytest.raises(WireProtocolError, match="plan response"):
             response_from_wire({"kernel": "c1"})
+
+    @pytest.mark.parametrize("field", ["workspace_limit", "deadline_s"])
+    def test_infinite_request_number_is_protocol_error(self, field):
+        """``1e400`` decodes as an infinite float, which neither an integer
+        field nor a wait timeout can take."""
+        data = request_to_wire(make_request(deadline_s=2.5))
+        data[field] = json.loads("1e400")
+        with pytest.raises(WireProtocolError,
+                           match="corrupt wire plan request|deadline_s"):
+            request_from_wire(data)
+
+    def test_infinite_response_number_is_protocol_error(self):
+        data = response_to_wire(make_response())
+        data["key"]["workspace_limit"] = json.loads("1e400")
+        with pytest.raises(WireProtocolError, match="plan response"):
+            response_from_wire(data)
 
 
 class TestParseAddress:
@@ -393,6 +413,24 @@ class TestServerClient:
         with pytest.raises(WireProtocolError, match="unknown request type"):
             client._call("bogus", {})
         assert client.ping()["gpu"] == GPU
+
+    @pytest.mark.parametrize("field", ["workspace_limit", "deadline_s"])
+    def test_infinite_number_is_answered_and_survivable(self, served, field):
+        """A plan frame carrying ``1e400`` gets an error reply, and the same
+        connection keeps serving."""
+        _, server, _ = served
+        body = request_to_wire(make_request(deadline_s=2.5))
+        body[field] = 987654321
+        payload = encode_envelope("plan", body, 7).replace(
+            b"987654321", b"1e400")
+        with socket.create_connection((server.host, server.port), 10.0) as raw:
+            write_frame(raw, payload)
+            msg_type, msg_id, reply = decode_envelope(read_frame(raw))
+            assert (msg_type, msg_id) == ("error", 7)
+            assert isinstance(error_from_wire(reply), WireProtocolError)
+            write_frame(raw, encode_envelope("ping", {}, 8))
+            msg_type, msg_id, reply = decode_envelope(read_frame(raw))
+            assert (msg_type, msg_id, reply["gpu"]) == ("ping", 8, GPU)
 
     def test_garbage_frame_drops_the_connection(self, served):
         _, server, _ = served

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import BatchSizePolicy, optimize_network_wd, optimize_network_wr
 from repro.core.cache import BenchmarkCache
+from repro.core.optimizer import optimize_network_wd, optimize_network_wr
+from repro.core.policies import BatchSizePolicy
 from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.frameworks import time_net
 from repro.frameworks.model_zoo import build_googlenet, build_vgg16
@@ -85,7 +86,8 @@ class TestVGG16:
     def test_mu_cudnn_gain_is_small_on_vgg(self):
         """Negative-control: workspace frugality barely matters when free
         fused Winograd is already near-optimal everywhere."""
-        from repro.core import Options, UcudnnHandle
+        from repro.core.handle import UcudnnHandle
+        from repro.core.options import Options
 
         def run(policy):
             handle = UcudnnHandle(
