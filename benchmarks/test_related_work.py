@@ -23,7 +23,7 @@ from repro.core.options import Options
 from repro.core.policies import BatchSizePolicy
 from repro.core.wr import optimize_from_benchmark
 from repro.cudnn.device import Gpu
-from repro.cudnn.enums import AlgoFamily, ConvType
+from repro.cudnn.enums import AlgoFamily
 from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.errors import OptimizationError
 from repro.frameworks import time_net

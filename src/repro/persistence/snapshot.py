@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -219,6 +220,10 @@ def validate_snapshot(document: object, where: str = "snapshot") -> dict:
     return document
 
 
+#: The mini-batch size in a kernel's geometry key (``forward:n32c64...``).
+_KERNEL_BATCH = re.compile(r":n(\d+)c")
+
+
 def _validate_plan_entry(entry: object, where: str) -> None:
     if not isinstance(entry, dict):
         raise SnapshotCorruptError(f"{where}: must be an object")
@@ -238,11 +243,23 @@ def _validate_plan_entry(entry: object, where: str) -> None:
     if not isinstance(stored_at, (int, float)) or isinstance(stored_at, bool):
         raise SnapshotCorruptError(f"{where}: 'stored_at' must be a number")
     try:
-        Configuration.from_dict(entry.get("configuration"))
+        config = Configuration.from_dict(entry.get("configuration"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotCorruptError(
             f"{where}: corrupt configuration: {exc}"
         ) from exc
+    # The plan must answer its key: a warm start serves it as a store hit.
+    if any(not isinstance(m.micro_batch, int) or isinstance(m.micro_batch, bool)
+           for m in config.micros):
+        raise SnapshotCorruptError(f"{where}: micro-batches must be integers")
+    batch = _KERNEL_BATCH.search(key["kernel"])
+    if batch is not None and config.batch != int(batch.group(1)):
+        raise SnapshotCorruptError(
+            f"{where}: micro-batches sum to {config.batch}, not the "
+            f"kernel's n={batch.group(1)}")
+    if key["scheme"] == "wr" and config.workspace > key["workspace_limit"]:
+        raise SnapshotCorruptError(
+            f"{where}: a micro-batch workspace exceeds the key's limit")
 
 
 def from_json(

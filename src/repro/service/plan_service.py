@@ -25,28 +25,30 @@ clients get:
 
 Every request runs one pipeline of stages, one method each::
 
-    admit (_admit)  ->  store lookup  ->  coalesce  ->  solve (_solve)
-        ->  fallback (_fallback)  ->  record (_served)
+    admit (_admit)  ->  store lookup  ->  join (_join)  ->  run (_run)
+        ->  degrade (_degrade)  ->  record (_served)
 
 The degradation ladder, best rung first: plan store hit, coalesce onto a
 shared solve, fresh solve, undivided fallback on a timeout or solver fault,
 and :class:`~repro.errors.DeadlineExceededError` (or, for a solver fault
 with fallbacks disabled, :class:`~repro.errors.SolverError`) last.
 
-Two front-ends drive the same stages; only coalescing and time differ:
+Two front-ends drive the same stages on one per-key solve record: a
+request *joins* the key's open solve or opens one, the solve *runs* once,
+and its waiters *degrade* onto one shared fallback.  Only the clock
+differs:
 
 * the **threaded** path (:meth:`PlanService.submit` / :meth:`wait` /
-  :meth:`request`) coalesces onto an in-flight future, runs one solver-pool
-  job per fresh key, stalls in real time and bounds the wait with
-  ``future.result(timeout)``;
+  :meth:`request`) runs each fresh key as one solver-pool job, stalls in
+  real time and bounds each wait with ``future.result(timeout)``;
 * the **wave** path (:meth:`PlanService.wave`, :class:`PlanWave`) serves a
-  batch of simultaneously-arriving requests deterministically: it
-  coalesces by grouping the batch by key and advances a
-  :class:`~repro.telemetry.clock.ManualClock` by each solve's simulated
-  duration.  The soak driver (:mod:`repro.service.soak`) uses it for
-  byte-reproducible load tests, and a
-  :class:`~repro.cluster.ClusterService` serves its per-shard batches
-  through it.
+  batch of simultaneously-arriving requests deterministically: it runs
+  each key's solve inline and advances a
+  :class:`~repro.telemetry.clock.ManualClock` by its simulated duration,
+  which each waiter compares with its deadline.  The soak driver
+  (:mod:`repro.service.soak`) uses it for byte-reproducible load tests,
+  and a :class:`~repro.cluster.ClusterService` serves its per-shard
+  batches through it.
 """
 
 from __future__ import annotations
@@ -54,11 +56,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import threading
-import weakref
 from concurrent import futures
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import repro.observability as observability
@@ -119,24 +120,40 @@ def optimize_from_benchmark(
 
 
 @dataclass
+class _Solve:
+    """The one solve of a key, shared by every request that joins it.
+
+    ``future`` resolves to ``(configuration, solve_seconds, started_at,
+    duration)``; ``job`` is the threaded path's pool job (``None`` in a
+    wave); ``traces`` are the joiners' trace ids, linked from the solve's
+    span; ``fallback`` is the undivided plan its degrading waiters share.
+    """
+
+    request: PlanRequest
+    key: PlanKey
+    future: "Future[tuple[Configuration, float, float, float]]" = field(
+        default_factory=Future)
+    job: "Future[None] | None" = None
+    traces: list[str] = field(default_factory=list)
+    fallback: "Future[tuple[Configuration, float]] | None" = None
+
+
+@dataclass
 class PlanTicket:
     """Handle for one admitted request (returned by :meth:`PlanService.submit`).
 
-    ``cached`` holds the plan of a store hit; otherwise ``future`` resolves
-    to ``(configuration, solve_seconds, solve_started_at)`` -- the third
-    element is the service-clock instant the solver actually started, which
-    is what turns into the ``queue`` stage of the request's latency
-    breakdown -- and ``source`` records whether this ticket initiated the
-    solve (``fresh``) or attached to one (``coalesced``).  ``shard`` is the
-    admitting service's shard id.  Every ticket must be passed to
-    :meth:`PlanService.wait` exactly once.
+    ``cached`` holds the plan of a store hit; otherwise ``solve`` is the
+    key's solve record, which this ticket opened (``source`` is ``fresh``)
+    or joined (``coalesced``).  ``shard`` is the admitting service's shard
+    id.  Every ticket must be passed to :meth:`PlanService.wait` exactly
+    once.
     """
 
     request: PlanRequest
     key: PlanKey
     source: str
     submitted_at: float
-    future: "Future[tuple[Configuration, float, float]] | None" = None
+    solve: _Solve | None = None
     cached: Configuration | None = None
     shard: str = ""
 
@@ -263,24 +280,8 @@ class PlanService:
         self._lock = new_lock("service")
         #: Serializes actual solver work on the single simulated device.
         self._solver_lock = new_lock("solver")
-        self._inflight: dict[
-            PlanKey, Future[tuple[Configuration, float, float]]
-        ] = {}
-        #: The pool job of each in-flight solve (same keys as
-        #: ``_inflight``): what :meth:`close` cancels if it has not started.
-        self._jobs: dict[PlanKey, Future[None]] = {}
-        #: Trace ids of requests that coalesced onto each solve; drained by
-        #: the solve stage and attached to its span as links (only
-        #: populated while telemetry is enabled and requests are traced, so
-        #: the untraced path never touches it).
-        self._coalesced_traces: dict[PlanKey, list[str]] = {}
-        #: The one undivided fallback of each solve, shared by every
-        #: threaded waiter that degrades off it; keyed by the solve's future
-        #: and gone once no ticket holds that future.
-        self._fallbacks: weakref.WeakKeyDictionary[
-            Future[tuple[Configuration, float, float]],
-            Future[tuple[Configuration, float]],
-        ] = weakref.WeakKeyDictionary()
+        #: The open solve of each key on the threaded path.
+        self._inflight: dict[PlanKey, _Solve] = {}
         self._pending = 0
         #: Solves retired so far: :meth:`submit` re-reads the store when
         #: this moved during its lookup.
@@ -311,17 +312,17 @@ class PlanService:
         """
         with self._lock:
             self._closed = True
-            jobs = [(key, job, self._inflight[key])
-                    for key, job in self._jobs.items()]
+            solves = list(self._inflight.values())
         self._bench_cache.remove_invalidation_listener(self._on_bench_refresh)
         running = []
-        for key, job, future in jobs:
-            if job.cancel():
-                self._retire(key)
-                future.set_exception(
+        for solve in solves:
+            assert solve.job is not None
+            if solve.job.cancel():
+                self._retire(solve)
+                solve.future.set_exception(
                     ServiceOverloadedError("plan service is closed"))
             else:
-                running.append(job)
+                running.append(solve.job)
         if self._owns_pool:
             self._executor.shutdown(wait=wait)
         elif wait:
@@ -360,21 +361,35 @@ class PlanService:
         if telemetry.enabled():
             telemetry.count("service.requests", help="requests admitted")
 
-    def _account(self, source: str) -> None:
-        """Count one admitted request by the source that will serve it.
+    def _join(
+        self, request: PlanRequest, key: PlanKey,
+        solves: dict[PlanKey, _Solve] | None,
+    ) -> str:
+        """Join stage (caller holds ``_lock``), once per admitted request.
 
-        Called with ``_lock`` held once the store lookup and coalescing
-        have decided ``source`` (``cached``, ``fresh`` or ``coalesced``).
+        Records the kernel's geometry (what a benchmark refresh re-solves
+        from) and counts the request: a store hit when ``solves`` is
+        ``None``; else it opens the key's solve in ``solves`` (``fresh``)
+        or joins the open one (``coalesced``) and links its trace there.
+        Returns the source.
         """
-        if source == "cached":
+        self._kernel_geometries[key.kernel] = request.geometry  # reprolint: disable=THR001 -- caller holds self._lock (documented precondition)
+        if solves is None:
+            source = "cached"
             self.stats.cache_hits += 1
-        elif source == "fresh":
-            self.stats.fresh += 1
-        else:
+        elif key in solves:
+            source = "coalesced"
             self.stats.coalesced += 1
+            if request.trace_id and telemetry.enabled():
+                solves[key].traces.append(request.trace_id)
+        else:
+            source = "fresh"
+            solves[key] = _Solve(request, key)
+            self.stats.fresh += 1
         if telemetry.enabled():
             telemetry.count(f"service.admitted.{source}",
                             help="admissions by initial serving source")
+        return source
 
     def _device(self) -> CudnnHandle:
         """The simulated device handle, built on first use.
@@ -424,10 +439,22 @@ class PlanService:
         if request.parent_span_id:
             span.parent_span_id = request.parent_span_id  # type: ignore[attr-defined]
 
+    def _run(self, solve: _Solve, simulated: bool) -> None:
+        """Run stage: solve once, retire, resolve the future for every
+        waiter (the key's pool job on the threaded path, inline in a wave)."""
+        try:
+            result = self._solve(solve, simulated)
+        except BaseException as exc:  # reprolint: disable=ERR001 -- the exception is re-raised to every waiter via the future
+            self._retire(solve)
+            solve.future.set_exception(exc)
+            return
+        self._retire(solve)
+        solve.future.set_result(result)
+
     def _solve(
-        self, request: PlanRequest, key: PlanKey, simulated: bool
-    ) -> tuple[Configuration, float, float]:
-        """Solve stage: fault gate, one solver invocation, store the plan.
+        self, solve: _Solve, simulated: bool
+    ) -> tuple[Configuration, float, float, float]:
+        """Fault gate, one solver invocation, store the plan.
 
         Raises :class:`~repro.errors.SolverError` on an injected failure.
         An injected stall is time, the one thing the front-ends keep apart:
@@ -439,12 +466,16 @@ class PlanService:
         re-checked before storing: a benchmark refresh that lands mid-solve
         means the answer was computed from superseded rows, so it is
         returned to the waiting clients (still the best answer they can get
-        without re-queueing) but never cached.  Requests that coalesced onto
-        this solve are linked from its span.
+        without re-queueing) but never cached.  Requests that joined this
+        solve are linked from its span.
 
-        Returns ``(configuration, solve_seconds, duration)``; ``duration``
-        is the simulated solve time plus any injected stall.
+        Returns ``(configuration, solve_seconds, started_at, duration)``:
+        ``started_at`` is the clock when the solver started (the end of a
+        waiter's queue stage), ``duration`` the simulated solve time plus
+        any injected stall.
         """
+        started_at = self.clock.now()
+        request, key = solve.request, solve.key
         with telemetry.span("service.solve", key=str(key)) as sspan:
             traced = telemetry.enabled()
             if traced:
@@ -472,8 +503,7 @@ class PlanService:
                 self._advance(duration)
             with self._lock:
                 stale = self._invalidation_epochs.get(family, 0) != epoch
-                joined = (self._coalesced_traces.pop(key, [])
-                          if traced else [])
+                joined = list(solve.traces) if traced else []
             for trace_id in joined:
                 sspan.links.append({"trace_id": trace_id})  # type: ignore[attr-defined]
             if not stale:
@@ -483,20 +513,13 @@ class PlanService:
                     "service.stale_plans_dropped",
                     help="solved plans not stored because their "
                          "benchmark rows were refreshed mid-solve")
-        return configuration, solve_seconds, duration
+        return configuration, solve_seconds, started_at, duration
 
-    def _retire(self, key: PlanKey) -> None:
-        """Forget a finished solve: its in-flight future, pool job and
-        leftover links.
-
-        Joiners that slipped in between the solve's link drain and this
-        removal lose their link (they still get the result); dropping the
-        leftovers keeps them off the *next* solve's span.
-        """
+    def _retire(self, solve: _Solve) -> None:
+        """Forget a finished threaded solve; count every retired solve."""
         with self._lock:
-            self._inflight.pop(key, None)
-            self._jobs.pop(key, None)
-            self._coalesced_traces.pop(key, None)
+            if self._inflight.get(solve.key) is solve:
+                del self._inflight[solve.key]
             self._retired += 1
 
     def _fallback(
@@ -556,6 +579,36 @@ class PlanService:
                 latency_s=self.clock.now() - ticket.submitted_at,
             )
         raise error
+
+    def _degrade(
+        self, ticket: PlanTicket, reason: str, simulated: bool
+    ) -> tuple[Configuration, float]:
+        """Degrade stage: the first waiter of a solve to degrade runs
+        :meth:`_fallback` (in a wave, its seconds advance the clock) and
+        later ones reuse its plan.  If it raised, each later waiter runs
+        its own, so every raising request keeps its own error and record.
+        """
+        solve = ticket.solve
+        assert solve is not None
+        with self._lock:
+            shared = solve.fallback
+            first = shared is None
+            if shared is None:
+                shared = solve.fallback = Future()
+        if not first:
+            try:
+                return shared.result()
+            except (DeadlineExceededError, SolverError):
+                return self._fallback(ticket, reason)
+        try:
+            fallback = self._fallback(ticket, reason)
+        except BaseException as exc:
+            shared.set_exception(exc)
+            raise
+        shared.set_result(fallback)
+        if simulated:
+            self._advance(fallback[1])
+        return fallback
 
     def _served(
         self,
@@ -638,7 +691,7 @@ class PlanService:
     # -- threaded path ---------------------------------------------------------
 
     def submit(self, request: PlanRequest) -> PlanTicket:
-        """Admit one request: store hit, coalesce, or start a fresh solve.
+        """Admit one request: store hit, or join the key's solve.
 
         Raises :class:`~repro.errors.ServiceOverloadedError` when the
         service is closed, or when a request that misses the store finds
@@ -652,54 +705,24 @@ class PlanService:
             retired = self._retired
             cached = self.store.get(key)
             with self._lock:
-                self._kernel_geometries[key.kernel] = request.geometry
                 if cached is not None:
                     self._admit(0)
-                    self._account("cached")
+                    self._join(request, key, None)
                     return PlanTicket(request, key, "cached", now,
                                       cached=cached, shard=self.shard_id)
-                future = self._inflight.get(key)
-                if future is None and self._retired != retired:
+                if key not in self._inflight and self._retired != retired:
                     # A solve retired during the lookup and may have stored
                     # this plan: look again rather than solve it twice.
                     continue
                 self._admit(self._pending)
                 self._pending += 1
-                if future is not None:
-                    self._account("coalesced")
-                    if request.trace_id and telemetry.enabled():
-                        self._coalesced_traces.setdefault(key, []).append(
-                            request.trace_id
-                        )
-                    return PlanTicket(request, key, "coalesced", now,
-                                      future=future, shard=self.shard_id)
-                future = Future()
-                self._inflight[key] = future
-                self._account("fresh")
-                # Queued under the lock, so close() sees every job to cancel.
-                self._jobs[key] = self._executor.submit(
-                    self._run, request, key, future)
-            return PlanTicket(request, key, "fresh", now, future=future,
+                source = self._join(request, key, self._inflight)
+                solve = self._inflight[key]
+                if source == "fresh":
+                    # Queued under the lock, so close() sees every job.
+                    solve.job = self._executor.submit(self._run, solve, False)
+            return PlanTicket(request, key, source, now, solve=solve,
                               shard=self.shard_id)
-
-    def _run(
-        self,
-        request: PlanRequest,
-        key: PlanKey,
-        future: "Future[tuple[Configuration, float, float]]",
-    ) -> None:
-        """Worker body: run the solve stage and publish its outcome."""
-        started_at = self.clock.now()
-        try:
-            configuration, solve_seconds, _ = self._solve(
-                request, key, simulated=False
-            )
-        except BaseException as exc:  # reprolint: disable=ERR001 -- thread boundary: the exception is re-raised to every waiter via the future
-            self._retire(key)
-            future.set_exception(exc)
-            return
-        self._retire(key)
-        future.set_result((configuration, solve_seconds, started_at))
 
     def wait(self, ticket: PlanTicket) -> PlanResponse:
         """Resolve a ticket: exact plan, or walk the degradation ladder."""
@@ -708,11 +731,10 @@ class PlanService:
                 ticket, ticket.cached, "cached", 0.0,
                 max(0.0, self.clock.now() - ticket.submitted_at),
             )
-        assert ticket.future is not None
+        assert ticket.solve is not None
         try:
-            configuration, solve_seconds, started_at = ticket.future.result(
-                timeout=ticket.request.deadline_s
-            )
+            configuration, solve_seconds, started_at, _ = (
+                ticket.solve.future.result(timeout=ticket.request.deadline_s))
             reason = ""
         except FutureTimeoutError:
             reason = "timeout"
@@ -722,7 +744,8 @@ class PlanService:
             with self._lock:
                 self._pending -= 1
         if reason:
-            configuration, solve_seconds = self._shared_fallback(ticket, reason)
+            configuration, solve_seconds = self._degrade(ticket, reason,
+                                                         simulated=False)
             return self._served(
                 ticket, configuration, "fallback", solve_seconds,
                 self.clock.now() - ticket.submitted_at, fallback_reason=reason,
@@ -735,36 +758,6 @@ class PlanService:
         return self._served(ticket, configuration, ticket.source,
                             solve_seconds, now - ticket.submitted_at,
                             stages=stages)
-
-    def _shared_fallback(
-        self, ticket: PlanTicket, reason: str
-    ) -> tuple[Configuration, float]:
-        """Fallback stage of the threaded path: one per solve, as in a wave.
-
-        The first waiter of a solve to degrade runs :meth:`_fallback`; the
-        coalesced waiters that degrade after it reuse its plan.  If that
-        first fallback raises (fallbacks disabled, or the undivided plan
-        does not fit), each later waiter runs its own, so every raising
-        request keeps its own error and ring record.
-        """
-        assert ticket.future is not None
-        with self._lock:
-            shared = self._fallbacks.get(ticket.future)
-            first = shared is None
-            if shared is None:
-                shared = self._fallbacks[ticket.future] = Future()
-        if not first:
-            try:
-                return shared.result()
-            except (DeadlineExceededError, SolverError):
-                return self._fallback(ticket, reason)
-        try:
-            fallback = self._fallback(ticket, reason)
-        except BaseException as exc:
-            shared.set_exception(exc)
-            raise
-        shared.set_result(fallback)
-        return fallback
 
     def request(self, request: PlanRequest) -> PlanResponse:
         """Submit and wait: the blocking client call.
@@ -814,7 +807,7 @@ class PlanService:
         """Serve one batch of admitted requests deterministically.
 
         Requests are served in arrival order; within the batch, requests
-        sharing a key coalesce onto the first one's solve.  Solve durations
+        sharing a key join the first one's solve.  Solve durations
         (simulated benchmark seconds, plus injected stalls) advance the
         clock and become the waiters' latencies; a duration past a
         request's deadline degrades exactly that request to the undivided
@@ -824,81 +817,59 @@ class PlanService:
         """
         with telemetry.span("service.wave", requests=len(requests)):
             responses: list[PlanResponse | None] = [None] * len(requests)
-            groups: dict[PlanKey, list[int]] = {}
+            solves: dict[PlanKey, _Solve] = {}
+            waiters: dict[PlanKey, list[tuple[int, str]]] = {}
             wave_start = self.clock.now()
             for index, request in enumerate(requests):
                 key = request.key(self.gpu_name)
                 cached = self.store.get(key)
-                if cached is not None and key not in groups:
-                    with self._lock:
-                        self._kernel_geometries[key.kernel] = request.geometry
-                        self._account("cached")
+                if key in solves:
+                    cached = None  # the key's solve already has waiters
+                with self._lock:
+                    source = self._join(
+                        request, key, solves if cached is None else None)
+                if cached is not None:
                     ticket = PlanTicket(request, key, "cached",
                                         self.clock.now())
                     responses[index] = self._served(ticket, cached, "cached",
                                                     0.0, 0.0)
                 else:
-                    groups.setdefault(key, []).append(index)
-            for key, indices in groups.items():
-                self._serve_group(requests, key, indices, responses,
-                                  queue_s=max(0.0,
-                                              self.clock.now() - wave_start))
+                    waiters.setdefault(key, []).append((index, source))
+            for key, solve in solves.items():
+                queue_s = max(0.0, self.clock.now() - wave_start)
+                self._run(solve, simulated=True)
+                for index, source in waiters[key]:
+                    responses[index] = self._answer(
+                        PlanTicket(requests[index], key, source,
+                                   self.clock.now(), solve=solve),
+                        queue_s)
         return [response for response in responses if response is not None]
 
-    def _serve_group(
-        self,
-        requests: list[PlanRequest],
-        key: PlanKey,
-        indices: list[int],
-        responses: list[PlanResponse | None],
-        queue_s: float,
-    ) -> None:
-        """Solve one key of a wave and answer every request that shares it."""
-        traced = telemetry.enabled()
-        with self._lock:
-            for position, index in enumerate(indices):
-                request = requests[index]
-                self._kernel_geometries[key.kernel] = request.geometry
-                self._account("coalesced" if position else "fresh")
-                if position and traced and request.trace_id:
-                    self._coalesced_traces.setdefault(key, []).append(
-                        request.trace_id
-                    )
-        configuration: Configuration | None = None
-        solve_seconds = duration = 0.0
+    def _answer(self, ticket: PlanTicket, queue_s: float) -> PlanResponse:
+        """Answer a wave waiter: the plan, or the fallback when the solve
+        faulted or its simulated duration passed the request's deadline."""
+        assert ticket.solve is not None
+        deadline_s = ticket.request.deadline_s
         try:
-            configuration, solve_seconds, duration = self._solve(
-                requests[indices[0]], key, simulated=True
-            )
+            configuration, solve_seconds, _, duration = (
+                ticket.solve.future.result())
+            reason = ("timeout" if deadline_s is not None
+                      and duration > deadline_s else "")
         except SolverError:
-            pass  # configuration stays None: every sharer falls back
-        finally:
-            self._retire(key)
-        fallback: tuple[Configuration, float] | None = None
-        for position, index in enumerate(indices):
-            request = requests[index]
-            source = "coalesced" if position else "fresh"
-            ticket = PlanTicket(request, key, source, self.clock.now())
-            if configuration is None:
-                reason = "solver_error"
-            elif (request.deadline_s is not None
-                    and duration > request.deadline_s):
-                reason = "timeout"
-            else:
-                responses[index] = self._served(
-                    ticket, configuration, source, solve_seconds, duration,
-                    stages={"queue": queue_s, "solve": duration},
-                )
-                continue
-            if fallback is None:
-                fallback = self._fallback(ticket, reason)
-                self._advance(fallback[1])
-            elapsed = duration + fallback[1]
-            responses[index] = self._served(
-                ticket, fallback[0], "fallback", fallback[1], elapsed,
-                fallback_reason=reason,
-                stages={"queue": queue_s, "solve": elapsed},
+            duration, reason = 0.0, "solver_error"
+        if not reason:
+            return self._served(
+                ticket, configuration, ticket.source, solve_seconds, duration,
+                stages={"queue": queue_s, "solve": duration},
             )
+        configuration, solve_seconds = self._degrade(ticket, reason,
+                                                     simulated=True)
+        elapsed = duration + solve_seconds
+        return self._served(
+            ticket, configuration, "fallback", solve_seconds, elapsed,
+            fallback_reason=reason,
+            stages={"queue": queue_s, "solve": elapsed},
+        )
 
     def _advance(self, seconds: float) -> None:
         """Advance a manual clock by simulated work (no-op on wall clocks)."""

@@ -274,15 +274,23 @@ def request_from_wire(data: object) -> PlanRequest:
     if not isinstance(data, dict):
         raise WireProtocolError("plan body must be an object")
     deadline = data.get("deadline_s")
-    # A deadline is a wait timeout: ``inf`` (``1e400``), NaN and values past
-    # ``threading.TIMEOUT_MAX`` would crash the wait, not bound it.
+    # A deadline is a wait timeout: negative values, ``inf`` (``1e400``), NaN
+    # and values past ``threading.TIMEOUT_MAX`` would not bound the wait.
     if deadline is not None and (
         not isinstance(deadline, (int, float)) or isinstance(deadline, bool)
-        or not abs(deadline) <= threading.TIMEOUT_MAX
+        or not 0 <= deadline <= threading.TIMEOUT_MAX
     ):
         raise WireProtocolError(
-            "plan body 'deadline_s' must be null or a number of seconds "
-            "within threading.TIMEOUT_MAX")
+            "plan body 'deadline_s' must be null or a non-negative number of "
+            "seconds within threading.TIMEOUT_MAX")
+    limit = data.get("workspace_limit", 0)
+    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
+        raise WireProtocolError(
+            "corrupt wire plan request: 'workspace_limit' must be a "
+            "non-negative integer")
+    for name in ("kernel", "client", "shard"):
+        if not isinstance(data.get(name, ""), str):
+            raise WireProtocolError(f"plan body {name!r} must be a string")
     trace = data.get("trace")
     trace_id = ""
     parent_span_id = ""
@@ -295,24 +303,19 @@ def request_from_wire(data: object) -> PlanRequest:
             raise WireProtocolError(
                 "plan body 'trace' fields must be strings"
             )
-    shard = data.get("shard", "")
-    if not isinstance(shard, str):
-        raise WireProtocolError("plan body 'shard' must be a string")
     try:
         return PlanRequest(
-            kernel=str(data["kernel"]),
+            kernel=data["kernel"],
             geometry=geometry_from_wire(data["geometry"]),
             policy=BatchSizePolicy(data["policy"]),
-            workspace_limit=int(data["workspace_limit"]),
+            workspace_limit=data["workspace_limit"],
             deadline_s=None if deadline is None else float(deadline),
-            client=str(data.get("client", "")),
+            client=data.get("client", ""),
             trace_id=trace_id,
             parent_span_id=parent_span_id,
-            shard=shard,
+            shard=data.get("shard", ""),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: an integer field that decoded as an infinite
-        # float (``1e400``).
+    except (KeyError, TypeError, ValueError) as exc:
         raise WireProtocolError(f"corrupt wire plan request: {exc}") from exc
 
 

@@ -10,7 +10,7 @@ from repro.cudnn.descriptors import (
     TensorDescriptor,
 )
 from repro.cudnn.enums import BwdFilterAlgo, ConvType, FwdAlgo
-from repro.cudnn.handle import CudnnHandle, ExecMode
+from repro.cudnn.handle import CudnnHandle
 from repro.cudnn.kernels import direct
 from repro.errors import (
     BadParamError,

@@ -1,13 +1,12 @@
 """Tests for the micro-batch benchmarking step (and its cache coupling)."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.benchmarker import KernelBenchmark, benchmark_kernel
 from repro.core.cache import BenchmarkCache
 from repro.core.config import MicroConfig
 from repro.core.policies import BatchSizePolicy
-from repro.cudnn.enums import ConvType, FwdAlgo
+from repro.cudnn.enums import FwdAlgo
 from repro.cudnn.perfmodel import PerfResult
 from repro.cudnn.status import Status
 from tests.conftest import make_geometry

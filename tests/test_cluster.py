@@ -569,7 +569,7 @@ class TestSolverPool:
         assert stats.solver_invocations == len(spy.calls)
         for shard in cluster.shards():
             assert shard.pending == 0
-            assert not shard._inflight and not shard._jobs
+            assert not shard._inflight
 
 
 class TestClusterTelemetry:

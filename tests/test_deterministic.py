@@ -19,7 +19,6 @@ from repro.cudnn.enums import (
     BwdFilterAlgo,
     ConvType,
     FwdAlgo,
-    algos_for,
     is_deterministic,
 )
 from repro.units import MIB

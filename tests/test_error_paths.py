@@ -13,7 +13,7 @@ from repro.cudnn.descriptors import (
     TensorDescriptor,
 )
 from repro.cudnn.enums import ConvType, FwdAlgo
-from repro.cudnn.handle import CudnnHandle, ExecMode
+from repro.cudnn.handle import CudnnHandle
 from repro.errors import BadParamError
 from repro.units import MIB
 

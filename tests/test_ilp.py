@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ilp import (
-    ILPSolution,
     ZeroOneProblem,
     solve_branch_and_bound,
 )

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.cudnn import kernels
-from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.enums import BwdDataAlgo, BwdFilterAlgo, ConvType, FwdAlgo
 from repro.cudnn.kernels import direct, gemm, im2col, precomp
 from repro.cudnn.workspace import is_supported

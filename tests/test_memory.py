@@ -1,11 +1,9 @@
 """Tests for memory accounting and the Fig. 12 reporting machinery."""
 
-import numpy as np
-
 from repro.core.handle import UcudnnHandle
 from repro.core.options import Options
 from repro.core.policies import BatchSizePolicy
-from repro.cudnn.device import DeviceMemory, Gpu
+from repro.cudnn.device import DeviceMemory
 from repro.cudnn.handle import CudnnHandle, ExecMode
 from repro.frameworks.model_zoo import build_tiny_cnn
 from repro.memory import MemorySnapshot, PeakTracker, memory_report

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import convolution as uconv
 from repro.core.config import Configuration, MicroConfig
-from repro.cudnn.api import get_workspace_size
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.enums import BwdDataAlgo, BwdFilterAlgo, ConvType, FwdAlgo
 from repro.cudnn.handle import CudnnHandle, ExecMode

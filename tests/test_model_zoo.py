@@ -1,7 +1,6 @@
 """Tests for the model zoo: layer geometry tables of the paper's networks."""
 
 import numpy as np
-import pytest
 
 from repro.cudnn.enums import ConvType
 from repro.cudnn.handle import CudnnHandle, ExecMode

@@ -4,8 +4,6 @@ Monotonicity and consistency laws that must hold for every workload the
 perf model can produce, not just the paper's layers.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

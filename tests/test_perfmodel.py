@@ -13,7 +13,6 @@ from repro.cudnn.device import K80, P100_SXM2, V100_SXM2
 from repro.cudnn.enums import ConvType, FwdAlgo, algos_for
 from repro.cudnn.perfmodel import PerfModel, PerfResult, family_to_algo
 from repro.cudnn.status import Status
-from repro.cudnn.workspace import is_supported
 from repro.errors import NotSupportedError
 from repro.units import MIB
 from tests.conftest import make_geometry

@@ -187,6 +187,29 @@ class TestValidation:
         with pytest.raises(SnapshotCorruptError, match="workspace_limit"):
             validate_snapshot(doc)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("micro_batch", 15, "sum to 31"),
+        ("micro_batch", 1.5, "integers"),
+        ("workspace", 2 ** 40, "exceeds"),
+    ])
+    def test_plan_that_does_not_answer_its_key_is_corrupt(
+            self, field, value, match):
+        """A stored plan is checked against its key: a warm start would
+        serve it as a store hit."""
+        key = PlanKey(gpu=GPU, kernel=make_geometry(n=32).cache_key(),
+                      policy="powerOfTwo", workspace_limit=64 * MIB)
+        store = PlanStore(clock=ManualClock())
+        store.put(key, Configuration((
+            MicroConfig(16, FwdAlgo.IMPLICIT_GEMM, 0.001, 0),
+            MicroConfig(16, FwdAlgo.IMPLICIT_GEMM, 0.001, MIB),
+        )))
+        doc = snapshot_store(store, GPU)
+        validate_snapshot(doc)
+        entry = doc["plans"][str(key)]
+        entry["configuration"]["micros"][0][field] = value
+        with pytest.raises(SnapshotCorruptError, match=match):
+            validate_snapshot(doc)
+
     def test_damaged_bench_section_is_corrupt(self):
         doc = make_doc()
         doc["bench"] = {"benchmarks": [], "configurations": {}}

@@ -138,7 +138,7 @@ class TestCoalescing:
         svc = PlanService(clock=ManualClock(), solve_fn=solve, store=store)
         try:
             first = svc.submit(make_request())
-            store.wait_for = first.future
+            store.wait_for = first.solve.future
             tickets = []
             racer = threading.Thread(
                 target=lambda: tickets.append(svc.submit(make_request())))

@@ -279,8 +279,9 @@ class TestZeroOverheadWhenOff:
     def test_untraced_requests_skip_the_coalesce_link_table(self):
         service = PlanService(GPU, clock=ManualClock(), solve_fn=spy_solve)
         with service:
-            service.request(make_request())
-            assert service._coalesced_traces == {}
+            ticket = service.submit(make_request())
+            service.wait(ticket)
+            assert ticket.solve.traces == []
 
 
 class TestSilentServerTimeout:

@@ -16,7 +16,7 @@ from repro.cudnn.handle import CudnnHandle
 from repro.frameworks.data import synthetic_batch, synthetic_stream
 from repro.frameworks.model_zoo import build_tiny_cnn
 from repro.frameworks.solver import SGDSolver
-from repro.units import KIB, MIB
+from repro.units import KIB
 
 
 def train(handle, steps=6, batch=16, lr=0.05, momentum=0.9, wd=1e-4):

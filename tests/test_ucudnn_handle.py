@@ -18,7 +18,7 @@ from repro.cudnn.descriptors import (
     TensorDescriptor,
 )
 from repro.cudnn.enums import ConvType
-from repro.cudnn.handle import CudnnHandle, ExecMode
+from repro.cudnn.handle import CudnnHandle
 from repro.errors import UcudnnError
 from repro.units import MIB
 from tests.conftest import assert_close

@@ -278,6 +278,24 @@ class TestBodyCodecs:
                            match="corrupt wire plan request|deadline_s"):
             request_from_wire(data)
 
+    @pytest.mark.parametrize("field, value", [
+        ("workspace_limit", 1.7),
+        ("workspace_limit", "12"),
+        ("workspace_limit", True),
+        ("workspace_limit", -5),
+        ("deadline_s", -1),
+        ("kernel", None),
+        ("client", None),
+        ("client", 5),
+    ])
+    def test_request_fields_are_not_coerced(self, field, value):
+        """A field of the wrong type or sign is refused, not converted
+        into a plan for some other question."""
+        data = request_to_wire(make_request(deadline_s=2.5))
+        data[field] = value
+        with pytest.raises(WireProtocolError, match=field):
+            request_from_wire(data)
+
     def test_infinite_response_number_is_protocol_error(self):
         data = response_to_wire(make_response())
         data["key"]["workspace_limit"] = json.loads("1e400")
@@ -425,6 +443,21 @@ class TestServerClient:
             b"987654321", b"1e400")
         with socket.create_connection((server.host, server.port), 10.0) as raw:
             write_frame(raw, payload)
+            msg_type, msg_id, reply = decode_envelope(read_frame(raw))
+            assert (msg_type, msg_id) == ("error", 7)
+            assert isinstance(error_from_wire(reply), WireProtocolError)
+            write_frame(raw, encode_envelope("ping", {}, 8))
+            msg_type, msg_id, reply = decode_envelope(read_frame(raw))
+            assert (msg_type, msg_id, reply["gpu"]) == ("ping", 8, GPU)
+
+    def test_uncoercible_field_is_answered_and_survivable(self, served):
+        """A plan frame whose limit is a bool gets an error reply, and the
+        same connection keeps serving."""
+        _, server, _ = served
+        body = request_to_wire(make_request())
+        body["workspace_limit"] = True
+        with socket.create_connection((server.host, server.port), 10.0) as raw:
+            write_frame(raw, encode_envelope("plan", body, 7))
             msg_type, msg_id, reply = decode_envelope(read_frame(raw))
             assert (msg_type, msg_id) == ("error", 7)
             assert isinstance(error_from_wire(reply), WireProtocolError)

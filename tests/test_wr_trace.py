@@ -1,7 +1,5 @@
 """Tests for the WR DP trace (the paper's Fig. 5 illustration tool)."""
 
-import math
-
 import pytest
 
 from repro.core.benchmarker import benchmark_kernel
