@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.errors import ClusterError
+from repro.errors import ClusterError, read_container, read_int, read_str
 
 #: Bumped on any incompatible change to the shard-map document below.
 SHARD_MAP_SCHEMA_VERSION = 1
@@ -160,30 +160,30 @@ class ShardMap:
                 f"not a shard map (kind={document.get('kind')!r}, "
                 f"expected {SHARD_MAP_KIND!r})"
             )
-        version = document.get("schema_version")
+        error, where = ClusterError, "shard map"
+        version = read_int(document.get("schema_version"), error, where, "'schema_version'")
         if version != SHARD_MAP_SCHEMA_VERSION:
             raise ClusterError(
                 f"shard map schema version {version!r} is not readable by "
                 f"this build (expected {SHARD_MAP_SCHEMA_VERSION})"
             )
-        devices = document.get("devices")
-        shards = document.get("shards")
-        if (not isinstance(devices, list)
-                or not all(isinstance(d, str) for d in devices)):
-            raise ClusterError("shard map 'devices' must be a string list")
-        if not isinstance(shards, int) or isinstance(shards, bool):
-            raise ClusterError("shard map 'shards' must be an integer")
+        devices = tuple(read_container(document.get("devices"), list, error, where,
+                                       "'devices' (a string list)"))
+        for device in devices:
+            read_str(device, error, where, "each device")
+        shards = read_int(document.get("shards"), error, where, "'shards'")
         try:
-            cls._check(tuple(devices), shards)
+            cls._check(devices, shards)
         except ValueError as exc:
             raise ClusterError(f"shard map is inconsistent: {exc}") from exc
-        recorded = document.get("assignments")
-        if not isinstance(recorded, dict) or len(recorded) != shards:
+        recorded = read_container(document.get("assignments"), dict, error, where,
+                                  "'assignments'")
+        if len(recorded) != shards:
             raise ClusterError(
                 f"shard map 'assignments' must map each of its {shards} "
                 f"shards to a device"
             )
-        built = cls(tuple(devices), shards)
+        built = cls(devices, shards)
         if recorded != built.to_dict()["assignments"]:
             raise ClusterError(
                 "shard map 'assignments' disagree with this build's "

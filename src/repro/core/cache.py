@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import re
 import tempfile
@@ -34,7 +33,7 @@ import repro.telemetry as telemetry
 from repro.core.config import Configuration
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.enums import ALGOS_FOR, ConvType
-from repro.errors import CacheError, decode_json
+from repro.errors import CacheError, decode_json, read_container, read_int, read_number
 from repro.telemetry.locks import blocking, new_lock
 
 if TYPE_CHECKING:
@@ -168,11 +167,7 @@ def _parse_bench_section(section: object, where: str) -> dict[Kernel, _Rows]:
     leaking ``KeyError``/``TypeError``/``ValueError`` from half-parsed data
     or storing a value no Find produced.
     """
-    if not isinstance(section, dict):
-        raise CacheError(
-            f"{where}: 'benchmarks' must be an object, "
-            f"got {type(section).__name__}"
-        )
+    section = read_container(section, dict, CacheError, where, "'benchmarks'")
     parsed: dict[Kernel, _Rows] = {}
     for position, (key, rows) in enumerate(section.items()):
         try:
@@ -185,31 +180,30 @@ def _parse_bench_section(section: object, where: str) -> dict[Kernel, _Rows]:
                 raise ValueError(f"batch size {size} is out of range")
             conv_type = ConvType(conv_name)
             algo_enum = ALGOS_FOR[conv_type]
-            if not isinstance(rows, list):
-                raise TypeError(f"rows must be a list, got {type(rows).__name__}")
+            read_container(rows, list, ValueError, "entry", "its rows")
             kernel = (head, tail)
             if kernel not in parsed:
                 parsed[kernel] = _Rows(conv_type)
             columns = parsed[kernel]
             for r in rows:
+                read_container(r, dict, ValueError, "rows", "each row")
                 if r["conv_type"] != conv_name:
                     raise ValueError(
                         f"row conv_type {r['conv_type']!r} is not the key's")
-                columns.algos.append(int(algo_enum(r["algo"])))
-                time, workspace = r["time"], r["workspace"]
-                if type(time) not in (int, float) or not (
-                        0 <= float(time) < math.inf):
-                    raise ValueError(f"time {time!r} is not a finite number >= 0")
+                columns.algos.append(int(algo_enum(
+                    read_int(r["algo"], ValueError, "row", "'algo'"))))
+                workspace = r["workspace"]
                 if type(workspace) is float and workspace.is_integer():
                     workspace = int(workspace)
-                if type(workspace) is not int or not 0 <= workspace <= _INT64_MAX:
-                    raise ValueError(f"workspace {workspace!r} is not a byte count")
-                columns.times.append(float(time))
+                if read_int(workspace, ValueError, "row", "'workspace'", 0) > _INT64_MAX:
+                    raise ValueError(f"workspace {workspace} is not a byte count")
+                columns.times.append(float(read_number(
+                    r["time"], ValueError, "row", "'time'", 0)))
                 columns.workspaces.append(workspace)
             columns.sizes.append(size)
             columns.counts.append(len(rows))
             columns.order.append(position)
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, ValueError) as exc:
             raise CacheError(
                 f"{where}: corrupt benchmark entry {key!r}: {exc}"
             ) from exc
@@ -224,19 +218,11 @@ def _parse_config_section(section: object, where: str) -> dict[str, dict]:
     entry fails at load time with a :class:`~repro.errors.CacheError`
     rather than at some later lookup deep inside an optimizer pass.
     """
-    if not isinstance(section, dict):
-        raise CacheError(
-            f"{where}: 'configurations' must be an object, "
-            f"got {type(section).__name__}"
-        )
+    section = read_container(section, dict, CacheError, where, "'configurations'")
     configs: dict[str, dict] = {}
     for key, data in section.items():
-        try:
-            Configuration.from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheError(
-                f"{where}: corrupt configuration entry {key!r}: {exc}"
-            ) from exc
+        Configuration.from_dict(
+            data, CacheError, f"{where}: corrupt configuration entry {key!r}")
         configs[key] = dict(data)
     return configs
 
@@ -724,22 +710,16 @@ class BenchmarkCache:
         if self.path is None:
             raise CacheError("cache has no backing file")
         blocking("cache.load")
+        where = f"benchmark DB {self.path}"
         try:
-            payload = decode_json(
-                self.path, CacheError, f"benchmark DB {self.path} is not "
-                "valid JSON (truncated or corrupt?)")
+            payload = decode_json(self.path, CacheError, f"{where} is not "
+                                  "valid JSON (truncated or corrupt?)")
         except OSError as exc:
-            raise CacheError(f"cannot read benchmark DB {self.path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise CacheError(
-                f"benchmark DB {self.path} must be a JSON object, "
-                f"got {type(payload).__name__}"
-            )
-        if payload.get("version") != _FORMAT_VERSION:
-            raise CacheError(
-                f"benchmark DB {self.path} has version {payload.get('version')}, "
-                f"expected {_FORMAT_VERSION}"
-            )
+            raise CacheError(f"cannot read {where}: {exc}") from exc
+        payload = read_container(payload, dict, CacheError, where, "the document")
+        version = read_int(payload.get("version"), CacheError, where, "'version'")
+        if version != _FORMAT_VERSION:
+            raise CacheError(f"{where} has version {version}, expected {_FORMAT_VERSION}")
         bench = _parse_bench_section(payload.get("benchmarks", {}), str(self.path))
         configs = _parse_config_section(
             payload.get("configurations", {}), str(self.path)

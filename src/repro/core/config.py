@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.cudnn.enums import Algo, BwdDataAlgo, BwdFilterAlgo, ConvType, FwdAlgo
+from repro.cudnn.enums import ALGOS_FOR, Algo, ConvType
+from repro.errors import CacheError, read_container, read_int, read_number, read_str
 
 
 @dataclass(frozen=True)
@@ -134,25 +135,36 @@ class Configuration:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Configuration":
-        conv_type = ConvType(data["conv_type"])
-        algo_enum = {
-            ConvType.FORWARD: FwdAlgo,
-            ConvType.BACKWARD_DATA: BwdDataAlgo,
-            ConvType.BACKWARD_FILTER: BwdFilterAlgo,
-        }[conv_type]
-        return cls(
-            tuple(
-                MicroConfig(
-                    micro_batch=m["micro_batch"],
-                    algo=algo_enum(m["algo"]),
-                    time=m["time"],
-                    workspace=m["workspace"],
-                )
-                for m in data["micros"]
-            )
-        )
+    def from_dict(cls, data: object, error: type[Exception] = CacheError,
+                  where: str = "configuration") -> "Configuration":
+        """Decode :meth:`to_dict` output, or raise ``error`` naming ``where``.
 
+        The one decoder of stored plans (snapshots, the benchmark DB, wire
+        responses); it reads every field with the :mod:`repro.errors` readers.
+        """
+        data = read_container(data, dict, error, where, "the configuration")
+        conv_type = read_str(data.get("conv_type"), error, where, "'conv_type'")
+        algos = _ALGO_CODES.get(conv_type)
+        if algos is None:
+            raise error(f"{where}: unknown 'conv_type' {conv_type!r}")
+        micros: list[MicroConfig] = []
+        for m in read_container(data.get("micros"), list, error, where, "'micros'"):
+            m = read_container(m, dict, error, where, "a 'micros' entry")
+            algo = algos.get(read_int(m.get("algo"), error, where, "'algo'"))
+            if algo is None:
+                raise error(f"{where}: unknown {conv_type} 'algo' {m['algo']}")
+            micros.append(MicroConfig(
+                read_int(m.get("micro_batch"), error, where, "'micro_batch'", 1), algo,
+                read_number(m.get("time"), error, where, "'time'", 0),
+                read_int(m.get("workspace"), error, where, "'workspace'", 0)))
+        return cls(tuple(micros))
+
+
+#: ``conv_type`` value -> algorithm code -> algorithm, for :meth:`from_dict`.
+_ALGO_CODES: dict[str, dict[int, Algo]] = {
+    conv_type.value: {int(algo): algo for algo in algos}
+    for conv_type, algos in ALGOS_FOR.items()
+}
 
 #: The empty configuration (identity of ``⊕``); time 0, workspace 0.
 EMPTY = Configuration(())

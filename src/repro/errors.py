@@ -16,6 +16,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import reprlib
+import sys
+from typing import TypeVar
 
 
 class ReproError(Exception):
@@ -223,3 +226,58 @@ def decode_json(
         return json.loads(source)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise error(f"{what}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# Strict field readers: the one type check of every decoder
+# ---------------------------------------------------------------------------
+# Each returns the value it is given, never converted, or raises the caller's
+# ``error`` naming the field: ``1.7``, ``"12"`` and ``True`` are not integers,
+# and NaN, ``1e400`` (JSON's infinity) and bools are not numbers.
+
+#: The largest finite float; an integer past it cannot become a number.
+_FLOAT_MAX = sys.float_info.max
+
+_Container = TypeVar("_Container", dict, list)
+
+
+def _refused(error: type[Exception], where: str, name: str, kind: str,
+             value: object) -> Exception:
+    return error(f"{where}: {name} must be {kind}, got {reprlib.repr(value)}")
+
+
+def read_int(value: object, error: type[Exception], where: str, name: str,
+             minimum: int | None = None) -> int:
+    """``value`` if it is an ``int``, not a ``bool``, and not below ``minimum``."""
+    if isinstance(value, int) and type(value) is not bool and (
+            minimum is None or value >= minimum):
+        return value
+    raise _refused(error, where, name, "an integer" if minimum is None
+                   else f"one of the integers >= {minimum}", value)
+
+
+def read_number(value: object, error: type[Exception], where: str, name: str,
+                minimum: float | None = None) -> float:
+    """``value`` if it is a finite ``int`` or ``float``, not a ``bool``, and
+    not below ``minimum``."""
+    if isinstance(value, (int, float)) and type(value) is not bool and (
+            -_FLOAT_MAX if minimum is None else minimum) <= value <= _FLOAT_MAX:
+        return value
+    raise _refused(error, where, name, "a finite number" if minimum is None
+                   else f"a finite number >= {minimum}", value)
+
+
+def read_str(value: object, error: type[Exception], where: str, name: str) -> str:
+    """``value`` if it is a string."""
+    if isinstance(value, str):
+        return value
+    raise _refused(error, where, name, "a string", value)
+
+
+def read_container(value: object, kind: type[_Container], error: type[Exception],
+                   where: str, name: str) -> _Container:
+    """``value`` if it is a JSON object (``kind`` is ``dict``) or array (``list``)."""
+    if isinstance(value, kind):
+        return value
+    raise _refused(error, where, name,
+                   "a JSON object" if kind is dict else "a JSON array", value)

@@ -47,6 +47,10 @@ from repro.errors import (
     SnapshotCorruptError,
     SnapshotVersionError,
     decode_json,
+    read_container,
+    read_int,
+    read_number,
+    read_str,
 )
 from repro.service.requests import PlanKey
 from repro.service.store import PlanStore
@@ -196,27 +200,21 @@ def validate_snapshot(document: object, where: str = "snapshot") -> dict:
             f"{where}: not a plan snapshot "
             f"(kind={document.get('kind')!r}, expected {SNAPSHOT_KIND!r})"
         )
-    version = document.get("schema_version")
+    version = read_int(document.get("schema_version"), SnapshotVersionError,
+                       where, "'schema_version'")
     if version != SNAPSHOT_SCHEMA_VERSION:
         raise SnapshotVersionError(
             f"{where}: schema version {version!r} is not readable by this "
             f"build (expected {SNAPSHOT_SCHEMA_VERSION})"
         )
-    if not isinstance(document.get("gpu"), str):
-        raise SnapshotCorruptError(f"{where}: 'gpu' must be a string")
-    plans = document.get("plans")
-    if not isinstance(plans, dict):
-        raise SnapshotCorruptError(f"{where}: 'plans' must be an object")
+    error = SnapshotCorruptError
+    read_str(document.get("gpu"), error, where, "'gpu'")
+    plans = read_container(document.get("plans"), dict, error, where, "'plans'")
     for name in sorted(plans):
         _validate_plan_entry(plans[name], f"{where}: plans[{name!r}]")
-    bench = document.get("bench")
-    if not isinstance(bench, dict):
-        raise SnapshotCorruptError(f"{where}: 'bench' must be an object")
+    bench = read_container(document.get("bench"), dict, error, where, "'bench'")
     for section in ("benchmarks", "configurations"):
-        if not isinstance(bench.get(section), dict):
-            raise SnapshotCorruptError(
-                f"{where}: bench[{section!r}] must be an object"
-            )
+        read_container(bench.get(section), dict, error, where, f"bench[{section!r}]")
     return document
 
 
@@ -225,41 +223,24 @@ _KERNEL_BATCH = re.compile(r":n(\d+)c")
 
 
 def _validate_plan_entry(entry: object, where: str) -> None:
-    if not isinstance(entry, dict):
-        raise SnapshotCorruptError(f"{where}: must be an object")
-    key = entry.get("key")
-    if not isinstance(key, dict):
-        raise SnapshotCorruptError(f"{where}: 'key' must be an object")
-    for field_name in ("gpu", "kernel", "policy", "scheme"):
-        if not isinstance(key.get(field_name), str):
-            raise SnapshotCorruptError(
-                f"{where}: key[{field_name!r}] must be a string"
-            )
-    if not isinstance(key.get("workspace_limit"), int):
-        raise SnapshotCorruptError(
-            f"{where}: key['workspace_limit'] must be an integer"
-        )
-    stored_at = entry.get("stored_at")
-    if not isinstance(stored_at, (int, float)) or isinstance(stored_at, bool):
-        raise SnapshotCorruptError(f"{where}: 'stored_at' must be a number")
-    try:
-        config = Configuration.from_dict(entry.get("configuration"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotCorruptError(
-            f"{where}: corrupt configuration: {exc}"
-        ) from exc
+    error = SnapshotCorruptError
+    entry = read_container(entry, dict, error, where, "the entry")
+    key = read_container(entry.get("key"), dict, error, where, "'key'")
+    read_str(key.get("gpu"), error, where, "key['gpu']")
+    kernel = read_str(key.get("kernel"), error, where, "key['kernel']")
+    read_str(key.get("policy"), error, where, "key['policy']")
+    scheme = read_str(key.get("scheme"), error, where, "key['scheme']")
+    limit = read_int(key.get("workspace_limit"), error, where, "key['workspace_limit']", 0)
+    # A NaN or infinite ``stored_at`` would never reach the store's TTL.
+    read_number(entry.get("stored_at"), error, where, "'stored_at'")
+    config = Configuration.from_dict(entry.get("configuration"), error, where)
     # The plan must answer its key: a warm start serves it as a store hit.
-    if any(not isinstance(m.micro_batch, int) or isinstance(m.micro_batch, bool)
-           for m in config.micros):
-        raise SnapshotCorruptError(f"{where}: micro-batches must be integers")
-    batch = _KERNEL_BATCH.search(key["kernel"])
+    batch = _KERNEL_BATCH.search(kernel)
     if batch is not None and config.batch != int(batch.group(1)):
-        raise SnapshotCorruptError(
-            f"{where}: micro-batches sum to {config.batch}, not the "
-            f"kernel's n={batch.group(1)}")
-    if key["scheme"] == "wr" and config.workspace > key["workspace_limit"]:
-        raise SnapshotCorruptError(
-            f"{where}: a micro-batch workspace exceeds the key's limit")
+        raise error(f"{where}: micro-batches sum to {config.batch}, not the "
+                    f"kernel's n={batch.group(1)}")
+    if scheme == "wr" and config.workspace > limit:
+        raise error(f"{where}: a micro-batch workspace exceeds the key's limit")
 
 
 def from_json(

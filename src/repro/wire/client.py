@@ -17,7 +17,7 @@ import dataclasses
 import socket
 
 import repro.telemetry as telemetry
-from repro.errors import DeadlineExceededError, WireProtocolError
+from repro.errors import DeadlineExceededError, WireProtocolError, read_container, read_str
 from repro.service.requests import PlanRequest, PlanResponse
 from repro.telemetry.locks import new_lock
 from repro.telemetry.trace import TraceIdSource
@@ -149,34 +149,27 @@ class PlanClient:
             body = self._call("plan", request_to_wire(request))
             response = response_from_wire(body)
             cspan.set("source", response.source)
-            remote = body.get("trace") if isinstance(body, dict) else None
-            if isinstance(remote, list):
-                for tree in remote:
-                    tracer.adopt_remote(
-                        span_from_wire(tree), origin="server", anchor=cspan
-                    )
+            body = read_container(body, dict, WireProtocolError, "plan reply", "the body")
+            for tree in read_container(body.get("trace", []), list, WireProtocolError,
+                                       "plan reply", "'trace'"):
+                tracer.adopt_remote(span_from_wire(tree), origin="server", anchor=cspan)
             return response
 
     def ping(self) -> dict:
         """Liveness probe; returns the server's GPU model and wire version."""
-        body = self._call("ping", {})
-        if not isinstance(body, dict):
-            raise WireProtocolError("ping reply body must be an object")
-        return body
+        return read_container(self._call("ping", {}), dict, WireProtocolError,
+                              "ping reply", "the body")
 
     def stats(self) -> dict:
         """The server's metrics summary (service + store + wire counters)."""
-        body = self._call("stats", {})
-        if not isinstance(body, dict):
-            raise WireProtocolError("stats reply body must be an object")
-        return body
+        return read_container(self._call("stats", {}), dict, WireProtocolError,
+                              "stats reply", "the body")
 
     def save(self) -> str:
         """Ask the server to snapshot its store; returns the saved path."""
-        body = self._call("save", {})
-        if not isinstance(body, dict) or not isinstance(body.get("path"), str):
-            raise WireProtocolError("save reply body must carry a 'path'")
-        return body["path"]
+        body = read_container(self._call("save", {}), dict, WireProtocolError,
+                              "save reply", "the body")
+        return read_str(body.get("path"), WireProtocolError, "save reply", "'path'")
 
     # -- lifecycle ---------------------------------------------------------
 

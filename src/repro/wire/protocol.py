@@ -56,6 +56,10 @@ from repro.errors import (
     UcudnnError,
     WireProtocolError,
     decode_json,
+    read_container,
+    read_int,
+    read_number,
+    read_str,
 )
 from repro.persistence.snapshot import conv_type_of
 from repro.service.requests import PlanKey, PlanRequest, PlanResponse
@@ -127,24 +131,16 @@ def encode_frame(msg_type: str, body: object, msg_id: int) -> bytes:
 
 def decode_envelope(payload: bytes) -> tuple[str, int, object]:
     """``(type, id, body)`` of one envelope payload; validates the grammar."""
-    document = decode_json(payload, WireProtocolError, "undecodable envelope")
-    if not isinstance(document, dict):
-        raise WireProtocolError(
-            f"envelope must be a JSON object, got {type(document).__name__}"
-        )
-    version = document.get("v")
+    error = WireProtocolError
+    document = read_container(decode_json(payload, error, "undecodable envelope"),
+                              dict, error, "wire", "the envelope")
+    version = read_int(document.get("v"), error, "envelope", "'v'")
     if version != WIRE_VERSION:
-        raise WireProtocolError(
-            f"envelope version {version!r} is not speakable by this build "
-            f"(expected {WIRE_VERSION})"
-        )
-    msg_type = document.get("type")
-    if not isinstance(msg_type, str):
-        raise WireProtocolError("envelope 'type' must be a string")
-    msg_id = document.get("id")
-    if not isinstance(msg_id, int) or isinstance(msg_id, bool):
-        raise WireProtocolError("envelope 'id' must be an integer")
-    return msg_type, msg_id, document.get("body")
+        raise error(f"envelope version {version!r} is not speakable by this build "
+                    f"(expected {WIRE_VERSION})")
+    return (read_str(document.get("type"), error, "envelope", "'type'"),
+            read_int(document.get("id"), error, "envelope", "'id'"),
+            document.get("body"))
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +209,11 @@ def write_frame(sock: socket.socket, payload: bytes) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: The error-message prefixes of the plan request and response decoders.
+_REQUEST = "corrupt wire plan request"
+_RESPONSE = "corrupt wire plan response"
+
+
 def geometry_to_wire(geometry: ConvGeometry) -> dict:
     return {
         "conv_type": geometry.conv_type.value,
@@ -227,8 +228,7 @@ def geometry_to_wire(geometry: ConvGeometry) -> dict:
 
 
 def geometry_from_wire(data: object) -> ConvGeometry:
-    if not isinstance(data, dict):
-        raise WireProtocolError("plan body 'geometry' must be an object")
+    data = read_container(data, dict, WireProtocolError, _REQUEST, "'geometry'")
     try:
         return ConvGeometry(
             conv_type=ConvType(data["conv_type"]),
@@ -271,52 +271,40 @@ def request_to_wire(request: PlanRequest) -> dict:
 
 
 def request_from_wire(data: object) -> PlanRequest:
-    if not isinstance(data, dict):
-        raise WireProtocolError("plan body must be an object")
+    error = WireProtocolError
+    data = read_container(data, dict, error, _REQUEST, "the body")
     deadline = data.get("deadline_s")
-    # A deadline is a wait timeout: negative values, ``inf`` (``1e400``), NaN
-    # and values past ``threading.TIMEOUT_MAX`` would not bound the wait.
-    if deadline is not None and (
-        not isinstance(deadline, (int, float)) or isinstance(deadline, bool)
-        or not 0 <= deadline <= threading.TIMEOUT_MAX
-    ):
-        raise WireProtocolError(
-            "plan body 'deadline_s' must be null or a non-negative number of "
-            "seconds within threading.TIMEOUT_MAX")
-    limit = data.get("workspace_limit", 0)
-    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
-        raise WireProtocolError(
-            "corrupt wire plan request: 'workspace_limit' must be a "
-            "non-negative integer")
-    for name in ("kernel", "client", "shard"):
-        if not isinstance(data.get(name, ""), str):
-            raise WireProtocolError(f"plan body {name!r} must be a string")
+    # A deadline is a wait timeout: past ``threading.TIMEOUT_MAX`` it would
+    # not bound the wait.
+    if deadline is not None and read_number(
+            deadline, error, _REQUEST, "'deadline_s'", 0) > threading.TIMEOUT_MAX:
+        raise error(f"{_REQUEST}: 'deadline_s' must be at most "
+                    "threading.TIMEOUT_MAX seconds")
     trace = data.get("trace")
-    trace_id = ""
-    parent_span_id = ""
+    trace_id = parent_span_id = ""
     if trace is not None:
-        if not isinstance(trace, dict):
-            raise WireProtocolError("plan body 'trace' must be an object")
-        trace_id = trace.get("trace_id", "")
-        parent_span_id = trace.get("parent_span_id", "")
-        if not isinstance(trace_id, str) or not isinstance(parent_span_id, str):
-            raise WireProtocolError(
-                "plan body 'trace' fields must be strings"
-            )
+        trace = read_container(trace, dict, error, _REQUEST, "'trace'")
+        trace_id = read_str(trace.get("trace_id"), error, _REQUEST, "'trace.trace_id'")
+        if not trace_id:  # "" means untraced, and then no trace is sent
+            raise error(f"{_REQUEST}: 'trace.trace_id' is empty")
+        parent_span_id = read_str(trace.get("parent_span_id", ""), error, _REQUEST,
+                                  "'trace.parent_span_id'")
     try:
-        return PlanRequest(
-            kernel=data["kernel"],
-            geometry=geometry_from_wire(data["geometry"]),
-            policy=BatchSizePolicy(data["policy"]),
-            workspace_limit=data["workspace_limit"],
-            deadline_s=None if deadline is None else float(deadline),
-            client=data.get("client", ""),
-            trace_id=trace_id,
-            parent_span_id=parent_span_id,
-            shard=data.get("shard", ""),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireProtocolError(f"corrupt wire plan request: {exc}") from exc
+        policy = BatchSizePolicy(read_str(data.get("policy"), error, _REQUEST, "'policy'"))
+    except ValueError as exc:
+        raise error(f"{_REQUEST}: {exc}") from exc
+    return PlanRequest(
+        kernel=read_str(data.get("kernel"), error, _REQUEST, "'kernel'"),
+        geometry=geometry_from_wire(data.get("geometry")),
+        policy=policy,
+        workspace_limit=read_int(data.get("workspace_limit"), error, _REQUEST,
+                                 "'workspace_limit'", 0),
+        deadline_s=None if deadline is None else float(deadline),
+        client=read_str(data.get("client", ""), error, _REQUEST, "'client'"),
+        trace_id=trace_id,
+        parent_span_id=parent_span_id,
+        shard=read_str(data.get("shard", ""), error, _REQUEST, "'shard'"),
+    )
 
 
 def response_to_wire(response: PlanResponse) -> dict:
@@ -347,29 +335,30 @@ def response_to_wire(response: PlanResponse) -> dict:
 
 
 def response_from_wire(data: object) -> PlanResponse:
-    if not isinstance(data, dict):
-        raise WireProtocolError("plan response body must be an object")
-    try:
-        key_fields = data["key"]
-        return PlanResponse(
-            kernel=str(data["kernel"]),
-            key=PlanKey(
-                gpu=str(key_fields["gpu"]),
-                kernel=str(key_fields["kernel"]),
-                policy=str(key_fields["policy"]),
-                workspace_limit=int(key_fields["workspace_limit"]),
-                scheme=str(key_fields["scheme"]),
-            ),
-            configuration=Configuration.from_dict(data["configuration"]),
-            source=str(data["source"]),
-            solve_seconds=float(data["solve_seconds"]),
-            latency_s=float(data["latency_s"]),
-            fallback_reason=str(data["fallback_reason"]),
-            client=str(data["client"]),
-            shard=str(data.get("shard", "")),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise WireProtocolError(f"corrupt wire plan response: {exc}") from exc
+    error = WireProtocolError
+    data = read_container(data, dict, error, _RESPONSE, "the body")
+    key = read_container(data.get("key"), dict, error, _RESPONSE, "'key'")
+    return PlanResponse(
+        kernel=read_str(data.get("kernel"), error, _RESPONSE, "'kernel'"),
+        key=PlanKey(
+            gpu=read_str(key.get("gpu"), error, _RESPONSE, "'key.gpu'"),
+            kernel=read_str(key.get("kernel"), error, _RESPONSE, "'key.kernel'"),
+            policy=read_str(key.get("policy"), error, _RESPONSE, "'key.policy'"),
+            workspace_limit=read_int(key.get("workspace_limit"), error, _RESPONSE,
+                                     "'key.workspace_limit'", 0),
+            scheme=read_str(key.get("scheme"), error, _RESPONSE, "'key.scheme'"),
+        ),
+        configuration=Configuration.from_dict(data.get("configuration"), error,
+                                              _RESPONSE),
+        source=read_str(data.get("source"), error, _RESPONSE, "'source'"),
+        solve_seconds=read_number(data.get("solve_seconds"), error, _RESPONSE,
+                                  "'solve_seconds'", 0),
+        latency_s=read_number(data.get("latency_s"), error, _RESPONSE, "'latency_s'", 0),
+        fallback_reason=read_str(data.get("fallback_reason"), error, _RESPONSE,
+                                 "'fallback_reason'"),
+        client=read_str(data.get("client"), error, _RESPONSE, "'client'"),
+        shard=read_str(data.get("shard", ""), error, _RESPONSE, "'shard'"),
+    )
 
 
 def span_to_wire(span: Span) -> dict:
@@ -406,50 +395,28 @@ def span_to_wire(span: Span) -> dict:
 
 def span_from_wire(data: object) -> Span:
     """Rebuild one span tree; grammar violations raise ``WireProtocolError``."""
-    if not isinstance(data, dict):
-        raise WireProtocolError("wire span must be an object")
-    name = data.get("name")
-    if not isinstance(name, str):
-        raise WireProtocolError("wire span 'name' must be a string")
-    start = data.get("start")
-    end = data.get("end")
-    if not isinstance(start, (int, float)) or isinstance(start, bool):
-        raise WireProtocolError("wire span 'start' must be a number")
-    if end is not None and (
-        not isinstance(end, (int, float)) or isinstance(end, bool)
-    ):
-        raise WireProtocolError("wire span 'end' must be null or a number")
-    attributes = data.get("attributes", {})
-    if not isinstance(attributes, dict):
-        raise WireProtocolError("wire span 'attributes' must be an object")
-    children = data.get("children", [])
-    if not isinstance(children, list):
-        raise WireProtocolError("wire span 'children' must be an array")
-    for field_name in ("trace_id", "span_id", "parent_span_id"):
-        value = data.get(field_name)
-        if value is not None and not isinstance(value, str):
-            raise WireProtocolError(
-                f"wire span {field_name!r} must be a string"
-            )
-    links = data.get("links", [])
-    if not isinstance(links, list) or any(
-        not isinstance(link, dict) for link in links
-    ):
-        raise WireProtocolError("wire span 'links' must be an array of objects")
+    error, where = WireProtocolError, "wire span"
+    data = read_container(data, dict, error, where, "the span")
+    attributes = read_container(data.get("attributes", {}), dict, error, where,
+                                "'attributes'")
+    if any(isinstance(value, (dict, list)) for value in attributes.values()):
+        raise error(f"{where}: 'attributes' values must be JSON scalars")
+    links = read_container(data.get("links", []), list, error, where, "'links'")
     for link in links:
-        if any(not isinstance(value, str) for value in link.values()):
-            raise WireProtocolError(
-                "wire span link values must be strings"
-            )
+        for value in read_container(link, dict, error, where, "a link").values():
+            read_str(value, error, where, "a link value")
+    end = data.get("end")
+    trace_id, span_id, parent_span_id = (
+        None if data.get(name) is None else read_str(data[name], error, where, repr(name))
+        for name in ("trace_id", "span_id", "parent_span_id"))
     return Span(
-        name=name,
+        name=read_str(data.get("name"), error, where, "'name'"),
         attributes=dict(attributes),
-        start=float(start),
-        end=None if end is None else float(end),
-        children=[span_from_wire(child) for child in children],
-        trace_id=data.get("trace_id"),
-        span_id=data.get("span_id"),
-        parent_span_id=data.get("parent_span_id"),
+        start=float(read_number(data.get("start"), error, where, "'start'")),
+        end=None if end is None else float(read_number(end, error, where, "'end'")),
+        children=[span_from_wire(child) for child in read_container(
+            data.get("children", []), list, error, where, "'children'")],
+        trace_id=trace_id, span_id=span_id, parent_span_id=parent_span_id,
         links=[dict(link) for link in links],
     )
 
@@ -479,14 +446,13 @@ def error_to_wire(exc: BaseException) -> dict:
 
 def error_from_wire(data: object) -> Exception:
     """The local exception to raise for one received error body."""
-    if not isinstance(data, dict):
-        return WireProtocolError("error body must be an object")
-    name = data.get("error")
-    message = data.get("message")
-    if not isinstance(name, str) or not isinstance(message, str):
-        return WireProtocolError(
-            f"error body must carry string 'error' and 'message', got {data!r}"
-        )
+    error, where = WireProtocolError, "error body"
+    try:
+        data = read_container(data, dict, error, where, "the body")
+        name = read_str(data.get("error"), error, where, "'error'")
+        message = read_str(data.get("message"), error, where, "'message'")
+    except WireProtocolError as exc:
+        return exc
     mapped = WIRE_ERRORS.get(name)
     if mapped is not None:
         return mapped(message)

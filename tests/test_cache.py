@@ -18,7 +18,7 @@ from repro.cudnn.enums import ALGOS_FOR, ConvolutionMode, ConvType, FwdAlgo
 from repro.cudnn.perfmodel import PerfResult
 from repro.cudnn.status import Status
 from repro.errors import CacheError
-from tests.conftest import make_geometry
+from tests.conftest import BAD_MICRO_FIELDS, make_geometry
 
 
 def _bench_key(gpu_name, geometry):
@@ -888,6 +888,23 @@ class TestRowValidation:
     def test_invalid_row_is_a_cache_error(self, tmp_path, row, route):
         doc = _doc([_row(), row])
         with pytest.raises(CacheError, match="k80"):
+            if route == "load":
+                path = tmp_path / "bench.json"
+                path.write_text(json.dumps(doc))
+                BenchmarkCache(path)
+            else:
+                BenchmarkCache().import_payload(doc)
+
+    @pytest.mark.parametrize("field, value", BAD_MICRO_FIELDS)
+    @pytest.mark.parametrize("route", ["load", "import"])
+    def test_invalid_configuration_is_a_cache_error(
+            self, tmp_path, field, value, route):
+        config = Configuration((MicroConfig(4, FwdAlgo.FFT, 0.001, 1024),))
+        data = config.to_dict(ConvType.FORWARD)
+        data["micros"][0][field] = value
+        doc = {"version": 1, "benchmarks": {},
+               "configurations": {"k80|cfg": data}}
+        with pytest.raises(CacheError, match=rf"k80\|cfg.*{field}"):
             if route == "load":
                 path = tmp_path / "bench.json"
                 path.write_text(json.dumps(doc))

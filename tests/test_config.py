@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from repro.core.config import EMPTY, Configuration, MicroConfig
 from repro.cudnn.enums import BwdFilterAlgo, ConvType, FwdAlgo
+from repro.errors import CacheError
+from tests.conftest import BAD_MICRO_FIELDS
 
 
 def mc(batch=32, algo=FwdAlgo.FFT, time=1.0, ws=100):
@@ -81,6 +83,13 @@ class TestConfiguration:
         back = Configuration.from_dict(c.to_dict(conv_type))
         assert back == c
         assert isinstance(back.micros[0].algo, type(algo))
+
+    @pytest.mark.parametrize("field, value", BAD_MICRO_FIELDS)
+    def test_from_dict_refuses_what_no_plan_holds(self, field, value):
+        data = Configuration((mc(),)).to_dict(ConvType.FORWARD)
+        data["micros"][0][field] = value
+        with pytest.raises(CacheError, match=field):
+            Configuration.from_dict(data)
 
 
 sizes = st.lists(st.integers(1, 64), min_size=1, max_size=6)

@@ -13,6 +13,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
 
 from repro.core.cache import BenchmarkCache
 from repro.core.config import Configuration, MicroConfig
@@ -45,7 +46,7 @@ from repro.persistence import (
 from repro.service import PlanKey, PlanRequest, PlanService, PlanStore
 from repro.telemetry.clock import ManualClock
 from repro.units import MIB
-from tests.conftest import make_geometry
+from tests.conftest import BAD_MICRO_FIELDS, make_geometry, mutated
 
 GPU = "p100-sxm2"
 
@@ -210,6 +211,68 @@ class TestValidation:
         with pytest.raises(SnapshotCorruptError, match=match):
             validate_snapshot(doc)
 
+    @pytest.mark.parametrize("text", ["NaN", "1e400", "-1e400"])
+    def test_non_finite_stored_at_is_corrupt(self, text):
+        doc = make_doc(order=(0,))
+        (entry,) = doc["plans"].values()
+        entry["stored_at"] = 123456.5
+        with pytest.raises(SnapshotCorruptError, match="stored_at"):
+            from_json(to_json(doc).replace("123456.5", text))
+
+    @pytest.mark.parametrize("text", ["0.0", "NaN", "1e400"])
+    def test_a_restored_plan_is_never_served_past_its_ttl(
+            self, tmp_path, text):
+        """``now - stored_at > ttl_s`` is never true for a NaN or infinite
+        ``stored_at``, so such a plan would be served forever: the load
+        refuses it, and a finite one expires."""
+        doc = make_doc(order=(0,))
+        (entry,) = doc["plans"].values()
+        entry["stored_at"] = 123456.5
+        path = tmp_path / "snap.json"
+        path.write_text(to_json(doc).replace("123456.5", text))
+        clock = ManualClock()
+        try:
+            store = PersistentPlanStore(path, GPU, ttl_s=10, clock=clock)
+        except SnapshotCorruptError:
+            assert text != "0.0"
+            return
+        assert store.get(make_key(0)) == fake_config(micro=1)
+        clock.advance(1e6)
+        assert store.get(make_key(0)) is None
+
+    @staticmethod
+    def wd_doc():
+        """A one-plan snapshot of a WD key: no limit comparison runs on it."""
+        key = PlanKey(gpu=GPU, kernel=make_geometry(n=32).cache_key(),
+                      policy="powerOfTwo", workspace_limit=64 * MIB,
+                      scheme="wd")
+        store = PlanStore(clock=ManualClock())
+        store.put(key, Configuration((
+            MicroConfig(32, FwdAlgo.IMPLICIT_GEMM, 0.001, 123457),)))
+        return snapshot_store(store, GPU), str(key)
+
+    @pytest.mark.parametrize("value", [-5, True])
+    def test_wd_key_limit_must_be_a_non_negative_integer(self, value):
+        doc, name = self.wd_doc()
+        doc["plans"][name]["key"]["workspace_limit"] = value
+        with pytest.raises(SnapshotCorruptError, match="workspace_limit"):
+            validate_snapshot(doc)
+
+    def test_infinite_wd_micro_workspace_is_corrupt(self):
+        """``1e400`` would load as ``inf`` and save back as ``Infinity``."""
+        doc, _ = self.wd_doc()
+        with pytest.raises(SnapshotCorruptError, match="workspace"):
+            from_json(to_json(doc).replace("123457", "1e400"))
+
+    @pytest.mark.parametrize("field, value", BAD_MICRO_FIELDS)
+    def test_bool_float_and_infinite_micro_fields_are_corrupt(
+            self, field, value):
+        doc = make_doc(order=(0,))
+        (entry,) = doc["plans"].values()
+        entry["configuration"]["micros"][0][field] = value
+        with pytest.raises(SnapshotCorruptError, match=field):
+            validate_snapshot(doc)
+
     def test_damaged_bench_section_is_corrupt(self):
         doc = make_doc()
         doc["bench"] = {"benchmarks": [], "configurations": {}}
@@ -221,6 +284,43 @@ class TestValidation:
         with pytest.raises(SnapshotCorruptError):
             save_snapshot(path, {"kind": "nope"})
         assert not path.exists()
+
+
+def _fuzz_snapshot() -> dict:
+    """A snapshot with a WR and a WD plan of real kernels and bench rows."""
+    store = PlanStore(clock=ManualClock(start=5.0))
+    kernel = make_geometry(n=4).cache_key()
+    store.put(PlanKey(gpu=GPU, kernel=kernel, policy="powerOfTwo",
+                      workspace_limit=MIB), Configuration((
+        MicroConfig(2, FwdAlgo.IMPLICIT_GEMM, 0.001, 0),
+        MicroConfig(2, FwdAlgo.FFT, 0.002, MIB))))
+    store.put(PlanKey(gpu=GPU, kernel=kernel, policy="all",
+                      workspace_limit=8 * MIB, scheme="wd"),
+              fake_config(micro=4))
+    bench = BenchmarkCache()
+    bench.put_benchmark(GPU, make_geometry(), [
+        PerfResult(FwdAlgo.FFT, Status.SUCCESS, 0.001, 1024)])
+    return snapshot_store(store, GPU, bench_cache=bench, meta={"host": "a"})
+
+
+class TestSnapshotFuzz:
+    """Any document gives a snapshot whose plans restore and re-save as
+    they are, or a snapshot taxonomy error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=mutated(_fuzz_snapshot()))
+    def test_any_document_loads_or_raises_a_snapshot_error(self, document):
+        try:
+            loaded = from_json(json.dumps(document))
+        except (SnapshotCorruptError, SnapshotVersionError):
+            return
+        json.dumps(loaded["plans"], allow_nan=False)  # every number is finite
+        store = PlanStore(clock=ManualClock())
+        for key, configuration, stored_at in plans_of(loaded):
+            store.restore(key, configuration, stored_at)
+        again = snapshot_store(store, loaded["gpu"])
+        assert set(plans_of(from_json(to_json(again)))) == set(
+            plans_of(loaded))
 
 
 class TestAtomicSave:

@@ -32,6 +32,7 @@ from repro.units import MIB
 from repro.wire import PlanClient, PlanServer
 from repro.wire.admin import AdminServer
 from repro.wire.protocol import (
+    decode_envelope,
     encode_envelope,
     request_to_wire,
     span_from_wire,
@@ -151,6 +152,30 @@ class TestSpanWireCodec:
         mutate(wired)
         with pytest.raises(WireProtocolError):
             span_from_wire(wired)
+
+    @pytest.mark.parametrize("field, value", [
+        ("start", float("inf")), ("start", float("-inf")),
+        ("start", float("nan")), ("end", float("inf")),
+        ("end", float("-inf")), ("end", float("nan")),
+        ("attributes", {"kernel": [1, 2]}),
+        ("attributes", {"kernel": {"nested": 1}}),
+    ])
+    def test_non_finite_times_and_container_attributes_are_refused(
+            self, field, value):
+        """``span_to_wire`` sends finite times and scalar attributes only."""
+        wired = span_to_wire(self.tree())
+        wired["children"][0][field] = value
+        with pytest.raises(WireProtocolError, match=field):
+            span_from_wire(wired)
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "NaN"])
+    def test_non_finite_times_in_the_payload_text_are_refused(self, text):
+        wired = span_to_wire(self.tree())
+        wired["end"] = 123456.5
+        payload = encode_envelope("plan", {"trace": [wired]}, 1)
+        _, _, body = decode_envelope(payload.replace(b"123456.5", text.encode()))
+        with pytest.raises(WireProtocolError, match="end"):
+            span_from_wire(body["trace"][0])
 
     def test_non_object_tree_is_a_protocol_error(self):
         with pytest.raises(WireProtocolError):

@@ -10,11 +10,14 @@ in-process answer.
 """
 
 import json
+import math
 import socket
 import struct
+import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import Configuration, MicroConfig
 from repro.cudnn.enums import FwdAlgo
@@ -28,6 +31,7 @@ from repro.errors import (
 from repro.persistence import PersistentPlanStore
 from repro.service import PlanKey, PlanRequest, PlanResponse, PlanService
 from repro.telemetry.clock import ManualClock
+from repro.telemetry.spans import Span
 from repro.units import MIB
 from repro.wire import PlanClient, PlanServer
 from repro.wire.protocol import (
@@ -47,9 +51,11 @@ from repro.wire.protocol import (
     request_to_wire,
     response_from_wire,
     response_to_wire,
+    span_from_wire,
+    span_to_wire,
     write_frame,
 )
-from tests.conftest import make_geometry
+from tests.conftest import BAD_MICRO_FIELDS, make_geometry, mutated
 
 GPU = "p100-sxm2"
 
@@ -231,7 +237,9 @@ class TestBodyCodecs:
 
     def test_request_round_trips(self):
         request = make_request(deadline_s=2.5, client="codec-test")
-        assert request_from_wire(request_to_wire(request)) == request
+        wired = request_to_wire(request)
+        json.dumps(wired, allow_nan=False)  # every number is finite
+        assert request_from_wire(wired) == request
 
     def test_request_without_deadline_round_trips(self):
         request = make_request()
@@ -240,7 +248,9 @@ class TestBodyCodecs:
 
     def test_response_round_trips(self):
         response = make_response()
-        assert response_from_wire(response_to_wire(response)) == response
+        wired = response_to_wire(response)
+        json.dumps(wired, allow_nan=False)  # every number is finite
+        assert response_from_wire(wired) == response
 
     def test_corrupt_geometry_is_protocol_error(self):
         with pytest.raises(WireProtocolError, match="geometry"):
@@ -296,11 +306,120 @@ class TestBodyCodecs:
         with pytest.raises(WireProtocolError, match=field):
             request_from_wire(data)
 
+    @pytest.mark.parametrize("path, value", [
+        ("key.workspace_limit", 1.7),
+        ("key.workspace_limit", "12"),
+        ("key.workspace_limit", True),
+        ("key.workspace_limit", -5),
+        ("kernel", None),
+        ("client", 7),
+        ("solve_seconds", "nan"),
+        ("solve_seconds", float("inf")),
+        ("latency_s", -3),
+    ] + [(f"configuration.micros.0.{field}", value)
+         for field, value in BAD_MICRO_FIELDS])
+    def test_response_fields_are_not_coerced(self, path, value):
+        """The response twin: an answer with a field of the wrong type, sign
+        or finiteness is refused, not converted into some other plan."""
+        data = response_to_wire(make_response())
+        *parents, field = path.split(".")
+        target = data
+        for parent in parents:
+            target = target[int(parent) if parent.isdigit() else parent]
+        target[field] = value
+        with pytest.raises(WireProtocolError, match=field):
+            response_from_wire(data)
+
     def test_infinite_response_number_is_protocol_error(self):
         data = response_to_wire(make_response())
         data["key"]["workspace_limit"] = json.loads("1e400")
         with pytest.raises(WireProtocolError, match="plan response"):
             response_from_wire(data)
+
+
+def _canonical(value) -> bytes:
+    """Comparable bytes of a JSON value (NaN equals itself here)."""
+    return json.dumps(value, sort_keys=True).encode()
+
+
+def _span_tree() -> dict:
+    root = Span("wire.server.request", attributes={"kernel": "conv1", "n": 3},
+                start=1.0, end=4.0, trace_id="req-000001", span_id="s2",
+                parent_span_id="s1")
+    root.children.append(Span("service.request", start=1.5, end=None,
+                              links=[{"trace_id": "req-000002"}]))
+    return span_to_wire(root)
+
+
+_TRACED_REQUEST = request_to_wire(make_request(
+    deadline_s=2.5, client="fuzz", shard="shard-1", trace_id="req-000001",
+    parent_span_id="s1"))
+
+
+class TestDecoderFuzz:
+    """Any document reaching a wire decoder gives a value that round-trips
+    or a ``WireProtocolError``; nothing else escapes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=mutated({"body": _TRACED_REQUEST, "id": 7,
+                             "type": "plan", "v": WIRE_VERSION}))
+    def test_envelope(self, document):
+        try:
+            msg_type, msg_id, body = decode_envelope(
+                json.dumps(document).encode())
+        except WireProtocolError:
+            return
+        again = encode_envelope(msg_type, body, msg_id)
+        assert decode_envelope(again)[:2] == (msg_type, msg_id)
+        assert _canonical(decode_envelope(again)[2]) == _canonical(body)
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=mutated(_TRACED_REQUEST))
+    def test_request(self, document):
+        try:
+            request = request_from_wire(document)
+        except WireProtocolError:
+            return
+        assert request_from_wire(request_to_wire(request)) == request
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=mutated({**response_to_wire(make_response()),
+                             "shard": "shard-1"}))
+    def test_response(self, document):
+        try:
+            response = response_from_wire(document)
+        except WireProtocolError:
+            return
+        assert response_from_wire(response_to_wire(response)) == response
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=mutated(_span_tree()))
+    def test_span_tree(self, document):
+        try:
+            span = span_from_wire(document)
+        except WireProtocolError:
+            return
+        assert all(math.isfinite(s.start) and (s.end is None or math.isfinite(
+            s.end)) for s in (span, *span.children))
+        wired = span_to_wire(span)
+        assert _canonical(span_to_wire(span_from_wire(wired))) == \
+            _canonical(wired)
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=mutated(error_to_wire(SolverError("the reason"))))
+    def test_error_body(self, document):
+        error = error_from_wire(document)
+        if not (isinstance(document, dict)
+                and isinstance(document.get("error"), str)
+                and isinstance(document.get("message"), str)):
+            assert type(error) is WireProtocolError
+            return
+        name, message = document["error"], document["message"]
+        if name in WIRE_ERRORS:
+            assert (type(error), str(error)) == (WIRE_ERRORS[name], message)
+        else:
+            assert type(error) is RemoteError
+            assert str(error) == f"{name}: {message}"
 
 
 class TestParseAddress:
@@ -405,7 +524,6 @@ class TestServerClient:
                     assert client.ping()["gpu"] == GPU
 
     def test_overload_errors_arrive_typed(self):
-        import threading
         release = threading.Event()
 
         def stalled(request):
@@ -464,6 +582,50 @@ class TestServerClient:
             write_frame(raw, encode_envelope("ping", {}, 8))
             msg_type, msg_id, reply = decode_envelope(read_frame(raw))
             assert (msg_type, msg_id, reply["gpu"]) == ("ping", 8, GPU)
+
+    def test_arbitrary_frames_never_end_a_connection_thread_uncaught(
+            self, served):
+        """Any frames -- damaged envelopes of every request type, raw bytes,
+        lying length prefixes -- get answers, typed errors or a dropped
+        connection; no connection thread dies of an exception, and a fresh
+        connection still answers ``ping``."""
+        _, server, _ = served
+        uncaught = []
+        envelopes = st.sampled_from([
+            {"body": _TRACED_REQUEST, "id": 1, "type": "plan", "v": 1},
+            {"body": {}, "id": 2, "type": "ping", "v": 1},
+            {"body": {}, "id": 3, "type": "stats", "v": 1},
+            {"body": {}, "id": 4, "type": "save", "v": 1},
+        ]).flatmap(mutated).map(lambda doc: json.dumps(doc).encode())
+        frames = (envelopes | st.binary(max_size=40)).flatmap(
+            lambda payload: st.sampled_from([len(payload), len(payload) + 3])
+            .map(lambda length: struct.pack(">I", length) + payload))
+
+        @settings(max_examples=150, deadline=None)
+        @given(sent=st.lists(frames, min_size=1, max_size=4))
+        def converse(sent):
+            started = len(server._handlers)
+            with socket.create_connection((server.host, server.port),
+                                          10.0) as raw:
+                try:
+                    for frame in sent:
+                        raw.sendall(frame)
+                    raw.shutdown(socket.SHUT_WR)
+                    while raw.recv(65536):
+                        pass  # replies, until the server hangs up
+                except OSError:
+                    pass  # it hung up on a damaged frame before the rest
+            (handler,) = server._handlers[started:]
+            handler.join(10.0)
+            assert not handler.is_alive() and uncaught == []
+
+        previous, threading.excepthook = threading.excepthook, uncaught.append
+        try:
+            converse()
+        finally:
+            threading.excepthook = previous
+        with PlanClient(server.host, server.port, timeout_s=10.0) as client:
+            assert client.ping()["gpu"] == GPU
 
     def test_garbage_frame_drops_the_connection(self, served):
         _, server, _ = served
