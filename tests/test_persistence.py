@@ -211,31 +211,23 @@ class TestValidation:
         with pytest.raises(SnapshotCorruptError, match=match):
             validate_snapshot(doc)
 
-    @pytest.mark.parametrize("text", ["NaN", "1e400", "-1e400"])
-    def test_non_finite_stored_at_is_corrupt(self, text):
-        doc = make_doc(order=(0,))
-        (entry,) = doc["plans"].values()
-        entry["stored_at"] = 123456.5
-        with pytest.raises(SnapshotCorruptError, match="stored_at"):
-            from_json(to_json(doc).replace("123456.5", text))
-
-    @pytest.mark.parametrize("text", ["0.0", "NaN", "1e400"])
+    @pytest.mark.parametrize("text", ["0.0", "NaN", "1e400", "-1e400"])
     def test_a_restored_plan_is_never_served_past_its_ttl(
             self, tmp_path, text):
         """``now - stored_at > ttl_s`` is never true for a NaN or infinite
         ``stored_at``, so such a plan would be served forever: the load
-        refuses it, and a finite one expires."""
+        refuses every non-finite one, and a finite one expires."""
         doc = make_doc(order=(0,))
         (entry,) = doc["plans"].values()
         entry["stored_at"] = 123456.5
         path = tmp_path / "snap.json"
         path.write_text(to_json(doc).replace("123456.5", text))
         clock = ManualClock()
-        try:
-            store = PersistentPlanStore(path, GPU, ttl_s=10, clock=clock)
-        except SnapshotCorruptError:
-            assert text != "0.0"
+        if text != "0.0":
+            with pytest.raises(SnapshotCorruptError, match="stored_at"):
+                PersistentPlanStore(path, GPU, ttl_s=10, clock=clock)
             return
+        store = PersistentPlanStore(path, GPU, ttl_s=10, clock=clock)
         assert store.get(make_key(0)) == fake_config(micro=1)
         clock.advance(1e6)
         assert store.get(make_key(0)) is None
