@@ -153,16 +153,26 @@ class KernelBenchmark:
             self._query_cache[key] = rows
         return rows
 
-    def t1_micros(self, workspace_limit: int | None) -> dict[int, MicroConfig]:
-        """``size -> T1 entry`` for every size where something fits, ascending."""
-        block = self.columns()
-        rows = self.t1_rows(workspace_limit)
-        fits = rows >= 0
-        return {
-            size: MicroConfig(size, algo, time, workspace)
-            for size, (algo, time, workspace) in zip(
-                block.sizes[fits].tolist(), block.row_values(rows[fits]))
-        }
+    def t1_columns(
+        self, workspace_limit: int | None
+    ) -> tuple[list[int], list[float], np.ndarray]:
+        """``T1`` as columns: sizes where something fits (ascending) and
+        their times as lists, and the picked block rows.  Memoized per
+        :meth:`t1_bucket`; shared: treat as read-only."""
+        key = ("t1", self.t1_bucket(workspace_limit))
+        columns = self._query_cache.get(key)
+        if columns is None:
+            block = self.columns()
+            rows = self.t1_rows(workspace_limit)
+            fits = rows >= 0
+            picked = rows[fits]
+            columns = (block.sizes[fits].tolist(), block.times[picked].tolist(),
+                       picked)
+            self._query_cache[key] = columns
+        elif telemetry.enabled():
+            telemetry.count("wr.t1_memo_hits",
+                            help="T1 tables served from the per-benchmark memo")
+        return columns
 
     def micro_options(
         self, micro_batch: int, workspace_limit: int | None = None

@@ -15,10 +15,11 @@ Python objects, not merely numerically close: the serial DP scans
 ``t1.items()`` in ascending-size order and keeps the first strict minimum;
 the tensor DP lays sizes out ascending per row and uses ``np.argmin``
 (first occurrence of the minimum) -- the same winner.  Each candidate is
-one binary add ``times[i-m] + T1(m)`` on both sides.  Backtracing replays
-:func:`repro.core.wr._rebuild` exactly, reusing the very
-:class:`~repro.core.config.MicroConfig` objects of the memoized ``T1``
-table.
+one binary add ``times[i-m] + T1(m)`` on both sides.  Backtracing follows
+the argmin path from ``B`` and builds
+:class:`~repro.core.config.MicroConfig` objects for the chosen ``T1``
+columns only, as the serial solver does
+(:func:`repro.core.wr._configuration`).
 
 Padding convention: per-kernel ``T1`` tables of different lengths are
 packed into ``(kernels, max_sizes)`` tensors with size ``0`` / time ``inf``
@@ -48,9 +49,10 @@ import numpy as np
 import repro.observability as observability
 import repro.telemetry as telemetry
 from repro.core.benchmarker import KernelBenchmark
-from repro.core.config import Configuration, MicroConfig
+from repro.core.config import Configuration
 from repro.core.delta import DeltaStats, geometry_family
-from repro.core.wr import _record_wr_provenance, t1_table
+from repro.core.wr import (_configuration, _record_wr_provenance,
+                           _t1_micros, t1_table)
 from repro.errors import OptimizationError
 
 
@@ -59,30 +61,19 @@ from repro.errors import OptimizationError
 # ---------------------------------------------------------------------------
 
 
-def _wr_tensors(
-    benches: "list[KernelBenchmark]", workspace_limit: int
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Pack the kernels' ``T1`` entries into padded ``(K, S)`` tensors.
+def _wr_tensors(t1s: "list[tuple]") -> "tuple[np.ndarray, np.ndarray]":
+    """Pack the kernels' ``T1`` columns into padded ``(K, S)`` tensors.
 
-    Row order follows ``benches``.  Each row lists the kernel's measured
-    sizes where something fits the limit, ascending, with their ``T1``
-    times, read straight from the block columns at the rows of the
-    memoized per-size minimum
-    (:meth:`~repro.core.benchmarker.KernelBenchmark.t1_rows`) -- the order
-    the serial DP's first-strict-minimum tie-break depends on, and the
-    order of :func:`~repro.core.wr.t1_table`.  Padding cells carry size
-    ``0`` and time ``inf``.
+    Row order follows ``t1s``, the kernels'
+    :func:`~repro.core.wr.t1_table` columns: each row lists the sizes where
+    something fits the limit, ascending -- the order the serial DP's
+    first-strict-minimum tie-break depends on -- with their ``T1`` times.
+    Padding cells carry size ``0`` and time ``inf``.
     """
-    picks = []
-    for bench in benches:
-        block = bench.columns()
-        rows = bench.t1_rows(workspace_limit)
-        fits = rows >= 0
-        picks.append((block.sizes[fits], block.times[rows[fits]]))
-    width = max(len(picked) for picked, _ in picks)
-    sizes = np.zeros((len(picks), width), dtype=np.int64)
-    times = np.full((len(picks), width), np.inf)
-    for row, (picked, picked_times) in enumerate(picks):
+    width = max(len(t1[0]) for t1 in t1s)
+    sizes = np.zeros((len(t1s), width), dtype=np.int64)
+    times = np.full((len(t1s), width), np.inf)
+    for row, (picked, picked_times, _) in enumerate(t1s):
         sizes[row, :len(picked)] = picked
         times[row, :len(picked)] = picked_times
     return sizes, times
@@ -96,7 +87,8 @@ def _tensor_wr_dp(
     Returns ``times`` (``(K, max_batch + 1)`` float64, ``inf`` = not
     composable) and ``choice`` (``(K, max_batch + 1)`` int64 column index of
     the last summand into the kernel's ``T1`` table, ``-1`` = none) --
-    cell-for-cell equal to :func:`repro.core.wr._wr_dp` run per kernel.
+    cell-for-cell equal to :func:`repro.core.wr._wr_dp` and
+    :func:`repro.core.wr._last_summand` run per kernel.
     """
     kernels = sizes.shape[0]
     # Stage-major: ``table[pad + i]`` holds T(i) of every kernel.  The
@@ -128,17 +120,15 @@ def _tensor_wr_dp(
 
 
 def _backtrace(
-    choice_row: np.ndarray, micros: "list[MicroConfig]", batch: int
+    choice_row: np.ndarray, bench: KernelBenchmark, t1: tuple, batch: int
 ) -> Configuration:
-    """Replay :func:`repro.core.wr._rebuild` along one kernel's choice path."""
-    chosen: list[MicroConfig] = []
+    """One kernel's configuration along its choice path from ``batch``."""
+    path: list[int] = []
     remaining = batch
     while remaining > 0:
-        micro = micros[int(choice_row[remaining])]
-        chosen.append(micro)
-        remaining -= micro.micro_batch
-    chosen.sort(key=lambda m: -m.micro_batch)
-    return Configuration(tuple(chosen))
+        path.append(int(choice_row[remaining]))
+        remaining -= t1[0][path[-1]]
+    return _configuration(bench, t1, path)
 
 
 def solve_network_wr_outcomes(
@@ -159,7 +149,7 @@ def solve_network_wr_outcomes(
     errors: dict[str, OptimizationError] = {}
     if not benches:
         return configurations, errors
-    feasible: list[tuple[str, KernelBenchmark, dict[int, MicroConfig]]] = []
+    feasible: list[tuple[str, KernelBenchmark, tuple]] = []
     for name, bench in benches.items():
         try:
             t1 = t1_table(bench, workspace_limit)
@@ -173,9 +163,7 @@ def solve_network_wr_outcomes(
         "solve.tensor.wr", kernels=len(benches),
         workspace_limit=workspace_limit,
     ) as tspan:
-        sizes, t1_times = _wr_tensors(
-            [bench for _, bench, _ in feasible], workspace_limit)
-        micros = [list(t1.values()) for _, _, t1 in feasible]
+        sizes, t1_times = _wr_tensors([t1 for _, _, t1 in feasible])
         batches = [bench.geometry.n for _, bench, _ in feasible]
         max_batch = max(batches)
         times, choice = _tensor_wr_dp(sizes, t1_times, max_batch)
@@ -190,13 +178,14 @@ def solve_network_wr_outcomes(
             if not math.isfinite(times[row, batch]):
                 errors[name] = OptimizationError(
                     f"mini-batch {batch} is not composable from measured "
-                    f"sizes {sorted(t1)} (policy {bench.policy.value})"
+                    f"sizes {t1[0]} (policy {bench.policy.value})"
                 )
                 continue
-            config = _backtrace(choice[row], micros[row], batch)
+            config = _backtrace(choice[row], bench, t1, batch)
             if telemetry.enabled() or rec:
+                t1_micros = _t1_micros(bench, t1)
                 unconstrained = bench.fastest_micro(batch)
-                constrained = t1.get(batch)
+                constrained = t1_micros.get(batch)
                 fallback = unconstrained is not None and (
                     constrained is None
                     or constrained.algo != unconstrained.algo
@@ -208,11 +197,10 @@ def solve_network_wr_outcomes(
                              "exceeds the workspace limit")
                 if rec:
                     _record_wr_provenance(
-                        rec, bench, workspace_limit, t1,
-                        [float(t) for t in times[row]],
-                        [micros[row][int(c)] if c >= 0 else None
-                         for c in choice[row]],
-                        config, unconstrained, constrained, name,
+                        rec, bench, workspace_limit, t1_micros,
+                        times[row].tolist(),
+                        t1[0][int(choice[row, batch])], config,
+                        unconstrained, constrained, name,
                     )
             configurations[name] = config
         tspan.set("max_batch", max_batch)

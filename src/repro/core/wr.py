@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 import repro.observability as observability
 import repro.telemetry as telemetry
 from repro.core.benchmarker import KernelBenchmark, benchmark_kernel
@@ -57,91 +59,107 @@ class WRResult:
         return self.undivided_time / self.configuration.time
 
 
+#: Narrowest dense size set (``1..n``) whose DP stages run in numpy.  A numpy
+#: stage costs about 2.2 us, a loop candidate 50 ns: at full width b256 runs
+#: 2.9x and b128 1.5x faster, b32 would run 2x slower.
+_DENSE_NUMPY_WIDTH = 96
+
+
 def t1_table(
     benchmark: KernelBenchmark, workspace_limit: int | None
-) -> dict[int, MicroConfig]:
-    """Per-size ``T1`` entries under one limit (the DP's coin denominations).
+) -> tuple[list[int], list[float], np.ndarray]:
+    """The DP's coin denominations under one limit, as columns.
 
-    Raises :class:`OptimizationError` when no measured size has any algorithm
-    fitting the limit.
-
-    Memoized per ``(benchmark identity, limit bucket)`` through the
-    benchmark's query cache: two limits between consecutive union workspace
-    steps admit the same rows at every size and share one table, so repeated
-    per-limit and trace calls stop rebuilding the same dict.  A miss reads
-    the block's columns: one masked per-size minimum
-    (:meth:`~repro.core.benchmarker.KernelBenchmark.t1_rows`), sizes in
-    the ascending order :func:`_wr_dp` needs.  The returned dict is shared
-    -- treat it as immutable.  Infeasible buckets cache (and re-raise) the
-    same :class:`OptimizationError`, which therefore quotes the bucket's
-    first-seen limit (the sweep solvers already document this for interval
-    representatives).  Editing ``benchmark.results`` requires
-    :meth:`~repro.core.benchmarker.KernelBenchmark.invalidate_query_cache`,
-    which drops this memo too.
+    :meth:`~repro.core.benchmarker.KernelBenchmark.t1_columns` (memoized
+    per limit bucket, shared: treat as immutable): sizes where something
+    fits, ascending, their ``T1`` times and block rows.  No
+    :class:`MicroConfig` is built; :func:`_configuration` builds the chosen
+    ones.  Raises :class:`OptimizationError` when nothing fits; an
+    infeasible bucket caches (and re-raises) one error, which quotes the
+    bucket's first-seen limit.
     """
-    memo = benchmark._query_cache
-    key = ("t1", benchmark.t1_bucket(workspace_limit))
-    cached = memo.get(key)
-    if cached is not None:
-        if telemetry.enabled():
-            telemetry.count("wr.t1_memo_hits",
-                            help="T1 tables served from the per-benchmark memo")
-        if isinstance(cached, OptimizationError):
-            raise cached
-        return cached
-    t1 = benchmark.t1_micros(workspace_limit)
-    if not t1:
-        error = OptimizationError(
+    columns = benchmark.t1_columns(workspace_limit)
+    if columns[0]:
+        return columns
+    raise benchmark._query_cache.setdefault(
+        ("t1_error", benchmark.t1_bucket(workspace_limit)), OptimizationError(
             f"no algorithm fits workspace limit {workspace_limit} for "
-            f"{benchmark.geometry}"
-        )
-        memo[key] = error
-        raise error
-    memo[key] = t1
-    return t1
+            f"{benchmark.geometry}"))
 
 
-def _wr_dp(
-    t1: dict[int, MicroConfig], batch: int
-) -> tuple[list[float], list[MicroConfig | None]]:
-    """The coin-change DP core shared by the optimizer and the tracer.
+def _wr_dp(sizes: list[int], t1_times: list[float], batch: int) -> list[float]:
+    """``times[i]``: optimal time for batch ``i`` (``inf``: not composable).
 
-    ``t1`` must list sizes ascending, as :func:`t1_table` builds it.
-    Returns the ``times`` table (``times[i]`` = optimal time for batch ``i``,
-    ``inf`` when not composable) and the ``choice`` table (last summand of an
-    optimal division, ``None`` when not composable).
+    ``sizes`` ascend.  A dense set at least :data:`_DENSE_NUMPY_WIDTH` wide
+    reduces each stage in numpy with the loop's float64 adds and an exact
+    minimum, so both paths give the same bits.
     """
+    width = len(sizes)
+    if width >= _DENSE_NUMPY_WIDTH and sizes[-1] == width:
+        table = np.full(batch + 1, np.inf)
+        table[0] = 0.0
+        # ``coins[width - m:]`` is T1(m), ..., T1(1): aligned with
+        # ``table[i - m:i]``, each cell is T(i - size) + T1(size).
+        coins = np.array(t1_times[::-1])
+        for i in range(1, batch + 1):
+            m = min(width, i)
+            table[i] = np.minimum.reduce(
+                np.add(table[i - m:i], coins[width - m:]))
+        return table.tolist()
     times = [0.0] + [math.inf] * batch
-    choice: list[MicroConfig | None] = [None] * (batch + 1)
-    coins = [(size, micro.time, micro) for size, micro in t1.items()]
-    # Coin-change order: ascending i with all sizes admissible at each i
-    # allows unlimited reuse of any measured size.  A non-composable
-    # remainder is inf, so its candidate is inf and never wins the strict <.
+    coins = list(zip(sizes, t1_times))
     for i in range(1, batch + 1):
         best = math.inf
-        best_micro = None
-        for size, time, micro in coins:
+        for size, time in coins:
             if size > i:
                 break
             cand = times[i - size] + time
             if cand < best:
                 best = cand
-                best_micro = micro
         times[i] = best
-        choice[i] = best_micro
-    return times, choice
+    return times
 
 
-def _rebuild(choice: list[MicroConfig | None], batch: int) -> Configuration:
-    """Reconstruct the configuration for batch ``batch`` from ``choice``."""
-    micros: list[MicroConfig] = []
-    remaining = batch
-    while remaining > 0:
-        micro = choice[remaining]
-        assert micro is not None
-        micros.append(micro)
-        remaining -= micro.micro_batch
-    # Largest micro-batches first, cosmetic but matches the paper's figures.
+def _last_summand(
+    sizes: list[int], t1_times: list[float], times: list[float], i: int
+) -> int:
+    """Column of the last summand of an optimal division of ``i``: the
+    smallest size whose candidate (same operands, so exact) equals the
+    finite ``times[i]`` -- the loop's first strict minimum."""
+    best = times[i]
+    for j, size in enumerate(sizes):
+        if times[i - size] + t1_times[j] == best:
+            return j
+    raise AssertionError(f"no summand attains T({i}) = {best}")
+
+
+def _division(sizes, t1_times, times, batch: int) -> list[int]:
+    """Columns of an optimal division of ``batch``, last summand first."""
+    path = []
+    while batch > 0:
+        path.append(_last_summand(sizes, t1_times, times, batch))
+        batch -= sizes[path[-1]]
+    return path
+
+
+def _micros(benchmark, t1, picks: list[int]) -> dict[int, MicroConfig]:
+    """``column -> T1 entry`` at columns ``picks`` of ``t1``."""
+    sizes, _, rows = t1
+    return {j: MicroConfig(sizes[j], *values) for j, values in zip(
+        picks, benchmark.columns().row_values(rows[picks]))}
+
+
+def _t1_micros(benchmark: KernelBenchmark, t1: tuple) -> dict[int, MicroConfig]:
+    """``size -> T1 entry`` of every column (telemetry, provenance, trace)."""
+    return {m.micro_batch: m for m in
+            _micros(benchmark, t1, list(range(len(t1[0])))).values()}
+
+
+def _configuration(benchmark, t1, path: list[int]) -> Configuration:
+    """The division along ``path`` (columns of ``t1``), largest first;
+    one :class:`MicroConfig` per distinct column."""
+    micro_of = _micros(benchmark, t1, list(dict.fromkeys(path)))
+    micros = [micro_of[j] for j in path]
     micros.sort(key=lambda m: -m.micro_batch)
     return Configuration(tuple(micros))
 
@@ -176,16 +194,19 @@ def _optimize_from_benchmark(
 ) -> Configuration:
     batch = benchmark.geometry.n
     t1 = t1_table(benchmark, workspace_limit)
+    sizes, t1_times, _ = t1
     rec = observability.recorder()
+    t1_micros: dict[int, MicroConfig] = {}
     unconstrained: MicroConfig | None = None
     constrained: MicroConfig | None = None
     if telemetry.enabled() or rec:
         # A fallback in the paper's Fig. 1 sense: the kernel's unconstrained
         # optimum at the full batch does not fit the limit, so slower (or
         # divided) execution must cover for it.  Only telemetry and
-        # provenance report it, so only they pay for the look-up.
+        # provenance report it, so only they pay for the look-ups.
+        t1_micros = _t1_micros(benchmark, t1)
         unconstrained = benchmark.fastest_micro(batch)
-        constrained = t1.get(batch)
+        constrained = t1_micros.get(batch)
         if unconstrained is not None and (
             constrained is None or constrained.algo != unconstrained.algo
         ):
@@ -195,30 +216,33 @@ def _optimize_from_benchmark(
             tspan.set("fallback", True)
     telemetry.count("wr.dp_rows", batch, help="WR dynamic-program rows solved")
 
-    times, choice = _wr_dp(t1, batch)
+    times = _wr_dp(sizes, t1_times, batch)
 
     if not math.isfinite(times[batch]):
         raise OptimizationError(
             f"mini-batch {batch} is not composable from measured sizes "
-            f"{sorted(t1)} (policy {benchmark.policy.value})"
+            f"{sizes} (policy {benchmark.policy.value})"
         )
-    config = _rebuild(choice, batch)
+    path = _division(sizes, t1_times, times, batch)
+    config = _configuration(benchmark, t1, path)
     if rec:
         _record_wr_provenance(
-            rec, benchmark, workspace_limit, t1, times, choice, config,
-            unconstrained, constrained, kernel,
+            rec, benchmark, workspace_limit, t1_micros, times,
+            sizes[path[0]], config, unconstrained, constrained, kernel,
         )
     return config
 
 
 def _record_wr_provenance(
-    rec, benchmark, workspace_limit, t1, times, choice, config,
+    rec, benchmark, workspace_limit, t1, times, winner_size, config,
     unconstrained, constrained, kernel=None,
 ) -> None:
     """Post-hoc decision log for one WR pass (only when provenance is on).
 
-    Reconstructs candidate fates from the DP tables already computed -- the
-    hot loops above run identically whether or not this executes.
+    Reconstructs candidate fates from the DP's ``times`` and the per-size
+    ``T1`` entries ``t1``; ``winner_size`` is the last summand of the
+    chosen division -- the hot loops above run identically whether or not
+    this executes.
     """
     key = kernel or benchmark.geometry.cache_key()
     batch = benchmark.geometry.n
@@ -240,7 +264,6 @@ def _record_wr_provenance(
             admitted=constrained.algo.name if constrained else None,
             admitted_time=constrained.time if constrained else None,
         )
-    winner = choice[batch]
     for size in benchmark.sizes:
         micro = t1.get(size)
         if micro is None:
@@ -259,7 +282,7 @@ def _record_wr_provenance(
                 "candidate.pruned.dp", kernel=key,
                 micro_batch=size, algo=micro.algo.name, t1_time=micro.time,
                 candidate_time=candidate_time, best_time=times[batch],
-                beaten_by_size=winner.micro_batch if winner else None,
+                beaten_by_size=winner_size,
             )
     rec.record("chosen", kernel=key, **observability.configuration_detail(config))
     rec.end_pass(pid, kernel=key, time=config.time, workspace=config.workspace)
@@ -305,9 +328,13 @@ def trace_wr(benchmark: KernelBenchmark, workspace_limit: int) -> list[WRTraceRo
     """
     batch = benchmark.geometry.n
     t1 = t1_table(benchmark, workspace_limit)
-    times, choice = _wr_dp(t1, batch)
+    sizes, t1_times, _ = t1
+    times = _wr_dp(sizes, t1_times, batch)
+    micros = _micros(benchmark, t1, list(range(len(sizes))))
     return [
-        WRTraceRow(i, times[i], choice[i], _rebuild(choice, i))
+        WRTraceRow(i, times[i], micros[_last_summand(sizes, t1_times, times, i)],
+                   _configuration(benchmark, t1,
+                                  _division(sizes, t1_times, times, i)))
         for i in range(1, batch + 1)
         if math.isfinite(times[i])
     ]

@@ -170,7 +170,7 @@ def output_dims(
 
 
 #: Per-instance memos :class:`ConvGeometry` keeps beside its fields.
-_MEMOS = ("_y_desc", "_cache_key")
+_MEMOS = ("_y_desc", "_cache_key", "_batch_checked")
 
 
 @dataclass(frozen=True)

@@ -346,13 +346,17 @@ def check_batch_size(g: ConvGeometry) -> None:
     The int64 bound :meth:`PerfModel.find_all_batched` applies to its
     largest size, callable before any per-size work: a caller about to list
     every size ``1..N`` (the ``all`` policy) refuses an out-of-range ``N``
-    first.
+    first.  A passing geometry is marked (``_batch_checked``), so a solve
+    pays for one check however often it asks.
     """
+    if g.__dict__.get("_batch_checked"):
+        return
     sub = g.group_geometry()
     _check_counts(sub, max(
         workspace_size(sub, algo)
         for algo in algos_for(g.conv_type) if is_supported(sub, algo)
     ))
+    object.__setattr__(g, "_batch_checked", True)
 
 
 class PerfModel:
@@ -452,7 +456,7 @@ class PerfModel:
             sub = g.group_geometry()
             algos = algos_for(g.conv_type)
             if checked:
-                check_batch_size(sub.with_batch(max(checked)))
+                check_batch_size(g.with_batch(max(checked)))
             ns = np.array(checked, dtype=np.int64)
             y = sub.y_desc
             supported = [algo for algo in algos if is_supported(sub, algo)]

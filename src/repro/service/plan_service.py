@@ -73,6 +73,7 @@ from repro.cudnn.device import Gpu
 from repro.errors import (
     DeadlineExceededError,
     OptimizationError,
+    ReproError,
     ServiceOverloadedError,
     SolverError,
 )
@@ -813,7 +814,9 @@ class PlanService:
         request's deadline degrades exactly that request to the undivided
         fallback, which is computed once per key and advances the clock
         too.  Clock time accrued serving *earlier* keys is a key's queue
-        stage.  Responses come back in arrival order.
+        stage.  Responses come back in arrival order.  A failed request does
+        not stop the wave: every key is solved, then the first error (in
+        arrival order) is raised.
         """
         with telemetry.span("service.wave", requests=len(requests)):
             responses: list[PlanResponse | None] = [None] * len(requests)
@@ -835,14 +838,20 @@ class PlanService:
                                                     0.0, 0.0)
                 else:
                     waiters.setdefault(key, []).append((index, source))
+            failed: dict[int, Exception] = {}
             for key, solve in solves.items():
                 queue_s = max(0.0, self.clock.now() - wave_start)
                 self._run(solve, simulated=True)
                 for index, source in waiters[key]:
-                    responses[index] = self._answer(
-                        PlanTicket(requests[index], key, source,
-                                   self.clock.now(), solve=solve),
-                        queue_s)
+                    try:
+                        responses[index] = self._answer(
+                            PlanTicket(requests[index], key, source,
+                                       self.clock.now(), solve=solve),
+                            queue_s)
+                    except ReproError as exc:
+                        failed[index] = exc
+            if failed:
+                raise failed[min(failed)]
         return [response for response in responses if response is not None]
 
     def _answer(self, ticket: PlanTicket, queue_s: float) -> PlanResponse:

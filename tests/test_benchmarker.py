@@ -93,7 +93,13 @@ class TestColumnarT1AgainstScan:
            limit=st.none() | st.sampled_from([0, 63, 64, 100, 128, 5000]))
     def test_fastest_micro_and_t1_equal_the_scan(self, table, limit):
         bench = synth_benchmark(16, table)
-        t1 = bench.t1_micros(limit)
+        sizes, times, rows = bench.t1_columns(limit)
+        t1 = {
+            size: MicroConfig(size, algo, time, workspace)
+            for size, (algo, time, workspace) in zip(
+                sizes, bench.columns().row_values(rows))
+        }
+        assert times == [micro.time for micro in t1.values()]
         for size in sorted(table):
             best = _first_fastest(bench.results[size], limit)
             micro = bench.fastest_micro(size, limit)

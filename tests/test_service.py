@@ -339,6 +339,34 @@ class TestWave:
         finally:
             svc.close()
 
+    def test_failed_key_without_fallback_still_solves_the_rest(self):
+        """With fallbacks disabled, a fault on the first key raises only
+        after every key of the wave is solved and stored, so a retry finds
+        the second key in the store instead of counting it fresh again."""
+        svc = PlanService(clock=ManualClock(), fallback=False,
+                          solve_fn=lambda r: (fake_config(), 0.1),
+                          faults=FaultInjector(script={0: ACTION_FAIL}))
+        first, second = make_request(kernel="a", c=3), make_request(
+            kernel="b", c=5)
+        try:
+            wave = svc.wave()
+            wave.add(first)
+            wave.add(second)
+            with pytest.raises(SolverError, match="fallback disabled"):
+                wave.serve()
+            assert svc.stats.fresh == 2
+            assert svc.stats.solver_invocations == 2
+            assert second.key(svc.gpu_name) in svc.store
+            assert first.key(svc.gpu_name) not in svc.store
+            retry = svc.wave()
+            retry.add(first)
+            retry.add(second)
+            assert [r.source for r in retry.serve()] == ["fresh", "cached"]
+            assert svc.stats.fresh == 3
+            assert svc.stats.solver_invocations == 3
+        finally:
+            svc.close()
+
     def test_provenance_records_serving_sources(self):
         svc = PlanService(clock=ManualClock(),
                           solve_fn=lambda r: (fake_config(), 0.1))

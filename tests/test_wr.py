@@ -8,14 +8,19 @@ exhaustive partition enumeration on randomized synthetic cost tables.
 import math
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MicroConfig
 from repro.core.policies import BatchSizePolicy
+from repro.core.config import Configuration
+from repro.core.tensor_solve import _tensor_wr_dp, solve_network_wr_outcomes
 from repro.core.wr import (
+    _DENSE_NUMPY_WIDTH,
     WRTraceRow,
-    _rebuild,
+    _last_summand,
+    _t1_micros,
     _wr_dp,
     optimize_from_benchmark,
     optimize_kernel,
@@ -130,7 +135,8 @@ def reference_t1(bench, limit) -> dict[int, MicroConfig]:
 
 
 def reference_wr_dp(t1: dict[int, MicroConfig], batch: int):
-    """The straightforward coin-change loop the fast ``_wr_dp`` replaced."""
+    """The straightforward coin-change loop the fast ``_wr_dp`` replaced:
+    ``times`` and ``choice`` (the last summand of an optimal division)."""
     times = [0.0] + [math.inf] * batch
     choice = [None] * (batch + 1)
     for i in range(1, batch + 1):
@@ -146,6 +152,28 @@ def reference_wr_dp(t1: dict[int, MicroConfig], batch: int):
         times[i] = best
         choice[i] = best_micro
     return times, choice
+
+
+def reference_rebuild(choice, batch: int) -> Configuration:
+    """The configuration of ``batch`` along ``choice``, largest first."""
+    micros = []
+    remaining = batch
+    while remaining > 0:
+        micros.append(choice[remaining])
+        remaining -= choice[remaining].micro_batch
+    micros.sort(key=lambda m: -m.micro_batch)
+    return Configuration(tuple(micros))
+
+
+def fast_choice(bench, t1, times):
+    """``reference_wr_dp``'s ``choice`` list from the fast DP's ``times``."""
+    sizes, t1_times, _ = t1
+    micros = _t1_micros(bench, t1)
+    return [None] + [
+        micros[sizes[_last_summand(sizes, t1_times, times, i)]]
+        if math.isfinite(times[i]) else None
+        for i in range(1, len(times))
+    ]
 
 
 #: Few distinct times, so equal-cost divisions (tie-breaks) are common.
@@ -187,26 +215,107 @@ class TestFastDPAgainstReference:
                 t1_table(bench, limit)
             return
         t1 = t1_table(bench, limit)
-        assert list(t1.items()) == list(expected_t1.items())
-        times, choice = _wr_dp(t1, batch)
-        ref_times, ref_choice = reference_wr_dp(t1, batch)
+        sizes, t1_times, _ = t1
+        assert list(_t1_micros(bench, t1).items()) == list(expected_t1.items())
+        assert t1_times == [micro.time for micro in expected_t1.values()]
+        times = _wr_dp(sizes, t1_times, batch)
+        choice = fast_choice(bench, t1, times)
+        ref_times, ref_choice = reference_wr_dp(expected_t1, batch)
         assert len(times) == len(ref_times) == batch + 1
         for got, want in zip(times, ref_times):
             assert got == want
         for got, want in zip(choice, ref_choice):
             assert got == want
         assert trace_wr(bench, limit) == [
-            WRTraceRow(i, ref_times[i], ref_choice[i], _rebuild(ref_choice, i))
+            WRTraceRow(i, ref_times[i], ref_choice[i],
+                       reference_rebuild(ref_choice, i))
             for i in range(1, batch + 1)
             if math.isfinite(ref_times[i])
         ]
 
     def test_equal_times_keep_the_first_smallest_size(self):
+        sizes = [1, 2, 4]
+        t1_times = [float(size) for size in sizes]
         t1 = {size: MicroConfig(size, FwdAlgo.GEMM, float(size), 0)
-              for size in (1, 2, 4)}
-        times, choice = _wr_dp(t1, 4)
+              for size in sizes}
+        times = _wr_dp(sizes, t1_times, 4)
         assert times == reference_wr_dp(t1, 4)[0] == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert [c.micro_batch for c in choice[1:]] == [1, 1, 1, 1]
+        assert [sizes[_last_summand(sizes, t1_times, times, i)]
+                for i in range(1, 5)] == [1, 1, 1, 1]
+
+
+#: Dense widths on both sides of the numpy threshold, and small ones.
+_WIDTHS = st.sampled_from([1, 2, 7, _DENSE_NUMPY_WIDTH - 1,
+                           _DENSE_NUMPY_WIDTH, _DENSE_NUMPY_WIDTH + 9])
+#: The limit of every ``t1_columns`` case; rows above it fit nothing.
+_LIMIT = 100
+
+
+@st.composite
+def t1_columns(draw):
+    """Random ``T1`` columns as a one-row-per-size table, and a batch.
+
+    Dense (``1..n``) and sparse size sets, exact ties, sizes whose only row
+    overflows :data:`_LIMIT` (a dense set with one becomes sparse), sizes
+    above the batch, and batches no size sum reaches.
+    """
+    if draw(st.booleans()):
+        sizes = list(range(1, draw(_WIDTHS) + 1))
+    else:
+        sizes = sorted(draw(st.lists(st.integers(1, 2 * _DENSE_NUMPY_WIDTH),
+                                     min_size=1, max_size=8, unique=True)))
+    times = draw(st.lists(_TIMES, min_size=len(sizes), max_size=len(sizes)))
+    unfit = draw(st.sets(st.sampled_from(sizes), max_size=2))
+    batch = draw(st.integers(1, max(sizes) + 24))
+    return batch, {
+        size: [(time, _LIMIT + 1 if size in unfit else 0)]
+        for size, time in zip(sizes, times)
+    }
+
+
+class TestColumnDPOracle:
+    """The column DP (loop and numpy stages), its argmin recovery and the
+    tensor DP against the plain loop: bit-equal ``times``, equal
+    configurations, equal error messages."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=t1_columns())
+    def test_matches_reference_loop(self, case):
+        batch, table = case
+        bench = synth_benchmark(batch, table)
+        expected_t1 = reference_t1(bench, _LIMIT)
+        ref_times, ref_choice = reference_wr_dp(expected_t1, batch)
+        if not expected_t1:
+            message = (f"no algorithm fits workspace limit {_LIMIT} for "
+                       f"{bench.geometry}")
+        elif not math.isfinite(ref_times[batch]):
+            message = (f"mini-batch {batch} is not composable from measured "
+                       f"sizes {sorted(expected_t1)} (policy all)")
+        else:
+            message = None
+            expected = reference_rebuild(ref_choice, batch)
+        configs, errors = solve_network_wr_outcomes({"k": bench}, _LIMIT)
+        if message is not None:
+            with pytest.raises(OptimizationError) as raised:
+                optimize_from_benchmark(bench, _LIMIT)
+            assert str(raised.value) == str(errors["k"]) == message
+        else:
+            assert optimize_from_benchmark(bench, _LIMIT) == expected
+            assert configs == {"k": expected}
+        if not expected_t1:
+            return
+        sizes, t1_times, _ = t1_table(bench, _LIMIT)
+        times = _wr_dp(sizes, t1_times, batch)
+        assert [t.hex() for t in times] == [t.hex() for t in ref_times]
+        tensor_times, tensor_choice = _tensor_wr_dp(
+            np.array([sizes]), np.array([t1_times]), batch)
+        assert [t.hex() for t in tensor_times[0].tolist()] == \
+            [t.hex() for t in ref_times]
+        for i in range(1, batch + 1):
+            if math.isfinite(ref_times[i]):
+                want = ref_choice[i].micro_batch
+                assert sizes[_last_summand(sizes, t1_times, times, i)] == want
+                assert sizes[int(tensor_choice[0, i])] == want
 
 
 class TestOnPerfModel:
