@@ -33,10 +33,40 @@ from repro.cudnn.enums import (
 from repro.cudnn.descriptors import ConvGeometry
 from repro.cudnn.handle import CudnnHandle
 from repro.cudnn.perfmodel import BenchBlock, PerfResult, check_batch_size
+from repro.errors import OptimizationError
 from repro.telemetry.locks import blocking
 
 if TYPE_CHECKING:
     from repro.core.cache import BenchmarkCache
+
+
+@dataclass(eq=False)
+class T1Columns:
+    """``T1`` under one limit bucket, as columns (the WR DP's coins).
+
+    ``sizes`` where something fits, ascending, their ``T1`` ``times`` and
+    their ``block`` ``rows``.  Memoized and shared: treat as read-only.
+    :meth:`micros` builds a column's :class:`MicroConfig` once, when a
+    solve first asks for it; ``error`` is an empty table's memoized
+    :class:`~repro.errors.OptimizationError`.
+    """
+
+    sizes: list[int]
+    times: list[float]
+    rows: np.ndarray
+    block: BenchBlock
+    error: OptimizationError | None = None
+    _micros: dict[int, MicroConfig] = field(default_factory=dict, repr=False)
+
+    def micros(self, columns: list[int]) -> list[MicroConfig]:
+        """The ``T1`` entries at ``columns``, in that order."""
+        built = self._micros
+        missing = [j for j in dict.fromkeys(columns) if j not in built]
+        if missing:
+            rows = self.block.row_values(self.rows[missing])
+            for j, values in zip(missing, rows):
+                built[j] = MicroConfig(self.sizes[j], *values)
+        return [built[j] for j in columns]
 
 
 @dataclass
@@ -153,12 +183,8 @@ class KernelBenchmark:
             self._query_cache[key] = rows
         return rows
 
-    def t1_columns(
-        self, workspace_limit: int | None
-    ) -> tuple[list[int], list[float], np.ndarray]:
-        """``T1`` as columns: sizes where something fits (ascending) and
-        their times as lists, and the picked block rows.  Memoized per
-        :meth:`t1_bucket`; shared: treat as read-only."""
+    def t1_columns(self, workspace_limit: int | None) -> T1Columns:
+        """``T1`` under ``workspace_limit``, memoized per :meth:`t1_bucket`."""
         key = ("t1", self.t1_bucket(workspace_limit))
         columns = self._query_cache.get(key)
         if columns is None:
@@ -166,8 +192,8 @@ class KernelBenchmark:
             rows = self.t1_rows(workspace_limit)
             fits = rows >= 0
             picked = rows[fits]
-            columns = (block.sizes[fits].tolist(), block.times[picked].tolist(),
-                       picked)
+            columns = T1Columns(block.sizes[fits].tolist(),
+                                block.times[picked].tolist(), picked, block)
             self._query_cache[key] = columns
         elif telemetry.enabled():
             telemetry.count("wr.t1_memo_hits",

@@ -12,14 +12,15 @@ find path.
 float64 additions in the *same* association order as the serial loop and
 breaks ties by the *same* deterministic rule, so results are equal as
 Python objects, not merely numerically close: the serial DP scans
-``t1.items()`` in ascending-size order and keeps the first strict minimum;
+the ``T1`` sizes in ascending order and keeps the first strict minimum;
 the tensor DP lays sizes out ascending per row and uses ``np.argmin``
 (first occurrence of the minimum) -- the same winner.  Each candidate is
-one binary add ``times[i-m] + T1(m)`` on both sides.  Backtracing follows
-the argmin path from ``B`` and builds
+one binary add ``times[i-m] + T1(m)`` on both sides.  Backtracing walks
+the argmin path from ``B`` with the serial solver's
+:func:`repro.core.wr._division` and builds
 :class:`~repro.core.config.MicroConfig` objects for the chosen ``T1``
-columns only, as the serial solver does
-(:func:`repro.core.wr._configuration`).
+columns only, once per limit bucket
+(:meth:`repro.core.benchmarker.T1Columns.micros`).
 
 Padding convention: per-kernel ``T1`` tables of different lengths are
 packed into ``(kernels, max_sizes)`` tensors with size ``0`` / time ``inf``
@@ -48,10 +49,10 @@ import numpy as np
 
 import repro.observability as observability
 import repro.telemetry as telemetry
-from repro.core.benchmarker import KernelBenchmark
+from repro.core.benchmarker import KernelBenchmark, T1Columns
 from repro.core.config import Configuration
 from repro.core.delta import DeltaStats, geometry_family
-from repro.core.wr import (_configuration, _record_wr_provenance,
+from repro.core.wr import (_configuration, _division, _record_wr_provenance,
                            _t1_micros, t1_table)
 from repro.errors import OptimizationError
 
@@ -61,7 +62,7 @@ from repro.errors import OptimizationError
 # ---------------------------------------------------------------------------
 
 
-def _wr_tensors(t1s: "list[tuple]") -> "tuple[np.ndarray, np.ndarray]":
+def _wr_tensors(t1s: "list[T1Columns]") -> "tuple[np.ndarray, np.ndarray]":
     """Pack the kernels' ``T1`` columns into padded ``(K, S)`` tensors.
 
     Row order follows ``t1s``, the kernels'
@@ -70,12 +71,12 @@ def _wr_tensors(t1s: "list[tuple]") -> "tuple[np.ndarray, np.ndarray]":
     first-strict-minimum tie-break depends on -- with their ``T1`` times.
     Padding cells carry size ``0`` and time ``inf``.
     """
-    width = max(len(t1[0]) for t1 in t1s)
+    width = max(len(t1.sizes) for t1 in t1s)
     sizes = np.zeros((len(t1s), width), dtype=np.int64)
     times = np.full((len(t1s), width), np.inf)
-    for row, (picked, picked_times, _) in enumerate(t1s):
-        sizes[row, :len(picked)] = picked
-        times[row, :len(picked)] = picked_times
+    for row, t1 in enumerate(t1s):
+        sizes[row, :len(t1.sizes)] = t1.sizes
+        times[row, :len(t1.sizes)] = t1.times
     return sizes, times
 
 
@@ -119,18 +120,6 @@ def _tensor_wr_dp(
     return times, choice
 
 
-def _backtrace(
-    choice_row: np.ndarray, bench: KernelBenchmark, t1: tuple, batch: int
-) -> Configuration:
-    """One kernel's configuration along its choice path from ``batch``."""
-    path: list[int] = []
-    remaining = batch
-    while remaining > 0:
-        path.append(int(choice_row[remaining]))
-        remaining -= t1[0][path[-1]]
-    return _configuration(bench, t1, path)
-
-
 def solve_network_wr_outcomes(
     benches: "Mapping[str, KernelBenchmark]", workspace_limit: int
 ) -> "tuple[dict[str, Configuration], dict[str, OptimizationError]]":
@@ -149,7 +138,7 @@ def solve_network_wr_outcomes(
     errors: dict[str, OptimizationError] = {}
     if not benches:
         return configurations, errors
-    feasible: list[tuple[str, KernelBenchmark, tuple]] = []
+    feasible: list[tuple[str, KernelBenchmark, T1Columns]] = []
     for name, bench in benches.items():
         try:
             t1 = t1_table(bench, workspace_limit)
@@ -178,12 +167,13 @@ def solve_network_wr_outcomes(
             if not math.isfinite(times[row, batch]):
                 errors[name] = OptimizationError(
                     f"mini-batch {batch} is not composable from measured "
-                    f"sizes {t1[0]} (policy {bench.policy.value})"
+                    f"sizes {t1.sizes} (policy {bench.policy.value})"
                 )
                 continue
-            config = _backtrace(choice[row], bench, t1, batch)
+            config = _configuration(
+                t1, _division(t1, batch, choice[row].item))
             if telemetry.enabled() or rec:
-                t1_micros = _t1_micros(bench, t1)
+                t1_micros = _t1_micros(t1)
                 unconstrained = bench.fastest_micro(batch)
                 constrained = t1_micros.get(batch)
                 fallback = unconstrained is not None and (
@@ -199,7 +189,7 @@ def solve_network_wr_outcomes(
                     _record_wr_provenance(
                         rec, bench, workspace_limit, t1_micros,
                         times[row].tolist(),
-                        t1[0][int(choice[row, batch])], config,
+                        t1.sizes[int(choice[row, batch])], config,
                         unconstrained, constrained, name,
                     )
             configurations[name] = config

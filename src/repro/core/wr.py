@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 import repro.observability as observability
 import repro.telemetry as telemetry
-from repro.core.benchmarker import KernelBenchmark, benchmark_kernel
+from repro.core.benchmarker import KernelBenchmark, T1Columns, benchmark_kernel
 from repro.core.config import Configuration, MicroConfig
 from repro.core.policies import BatchSizePolicy
 from repro.cudnn.descriptors import ConvGeometry
@@ -65,26 +66,25 @@ class WRResult:
 _DENSE_NUMPY_WIDTH = 96
 
 
-def t1_table(
-    benchmark: KernelBenchmark, workspace_limit: int | None
-) -> tuple[list[int], list[float], np.ndarray]:
+def t1_table(benchmark: KernelBenchmark, workspace_limit: int | None) -> T1Columns:
     """The DP's coin denominations under one limit, as columns.
 
-    :meth:`~repro.core.benchmarker.KernelBenchmark.t1_columns` (memoized
-    per limit bucket, shared: treat as immutable): sizes where something
-    fits, ascending, their ``T1`` times and block rows.  No
-    :class:`MicroConfig` is built; :func:`_configuration` builds the chosen
-    ones.  Raises :class:`OptimizationError` when nothing fits; an
-    infeasible bucket caches (and re-raises) one error, which quotes the
+    :meth:`~repro.core.benchmarker.KernelBenchmark.t1_columns`, memoized
+    per limit bucket: sizes where something fits, ascending, their ``T1``
+    times and block rows.  :class:`MicroConfig` objects are built only for
+    the columns a division chooses (:func:`_configuration`), once per
+    bucket.  Raises :class:`OptimizationError` when nothing fits; an
+    infeasible bucket keeps (and re-raises) one error, which quotes the
     bucket's first-seen limit.
     """
-    columns = benchmark.t1_columns(workspace_limit)
-    if columns[0]:
-        return columns
-    raise benchmark._query_cache.setdefault(
-        ("t1_error", benchmark.t1_bucket(workspace_limit)), OptimizationError(
+    t1 = benchmark.t1_columns(workspace_limit)
+    if t1.sizes:
+        return t1
+    if t1.error is None:
+        t1.error = OptimizationError(
             f"no algorithm fits workspace limit {workspace_limit} for "
-            f"{benchmark.geometry}"))
+            f"{benchmark.geometry}")
+    raise t1.error
 
 
 def _wr_dp(sizes: list[int], t1_times: list[float], batch: int) -> list[float]:
@@ -133,35 +133,26 @@ def _last_summand(
     raise AssertionError(f"no summand attains T({i}) = {best}")
 
 
-def _division(sizes, t1_times, times, batch: int) -> list[int]:
-    """Columns of an optimal division of ``batch``, last summand first."""
-    path = []
+def _division(t1: T1Columns, batch: int, last: Callable[[int], int]) -> list[int]:
+    """Columns of the division of ``batch`` whose last summand at each
+    remaining ``i`` is column ``last(i)``, last summand first."""
+    path: list[int] = []
     while batch > 0:
-        path.append(_last_summand(sizes, t1_times, times, batch))
-        batch -= sizes[path[-1]]
+        path.append(last(batch))
+        batch -= t1.sizes[path[-1]]
     return path
 
 
-def _micros(benchmark, t1, picks: list[int]) -> dict[int, MicroConfig]:
-    """``column -> T1 entry`` at columns ``picks`` of ``t1``."""
-    sizes, _, rows = t1
-    return {j: MicroConfig(sizes[j], *values) for j, values in zip(
-        picks, benchmark.columns().row_values(rows[picks]))}
-
-
-def _t1_micros(benchmark: KernelBenchmark, t1: tuple) -> dict[int, MicroConfig]:
-    """``size -> T1 entry`` of every column (telemetry, provenance, trace)."""
-    return {m.micro_batch: m for m in
-            _micros(benchmark, t1, list(range(len(t1[0])))).values()}
-
-
-def _configuration(benchmark, t1, path: list[int]) -> Configuration:
-    """The division along ``path`` (columns of ``t1``), largest first;
-    one :class:`MicroConfig` per distinct column."""
-    micro_of = _micros(benchmark, t1, list(dict.fromkeys(path)))
-    micros = [micro_of[j] for j in path]
+def _configuration(t1: T1Columns, path: list[int]) -> Configuration:
+    """The division along ``path`` (columns of ``t1``), largest first."""
+    micros = t1.micros(path)
     micros.sort(key=lambda m: -m.micro_batch)
     return Configuration(tuple(micros))
+
+
+def _t1_micros(t1: T1Columns) -> dict[int, MicroConfig]:
+    """``size -> T1 entry`` of every column (telemetry, provenance, trace)."""
+    return dict(zip(t1.sizes, t1.micros(list(range(len(t1.sizes))))))
 
 
 def optimize_from_benchmark(
@@ -194,7 +185,7 @@ def _optimize_from_benchmark(
 ) -> Configuration:
     batch = benchmark.geometry.n
     t1 = t1_table(benchmark, workspace_limit)
-    sizes, t1_times, _ = t1
+    sizes, t1_times = t1.sizes, t1.times
     rec = observability.recorder()
     t1_micros: dict[int, MicroConfig] = {}
     unconstrained: MicroConfig | None = None
@@ -204,7 +195,7 @@ def _optimize_from_benchmark(
         # optimum at the full batch does not fit the limit, so slower (or
         # divided) execution must cover for it.  Only telemetry and
         # provenance report it, so only they pay for the look-ups.
-        t1_micros = _t1_micros(benchmark, t1)
+        t1_micros = _t1_micros(t1)
         unconstrained = benchmark.fastest_micro(batch)
         constrained = t1_micros.get(batch)
         if unconstrained is not None and (
@@ -223,8 +214,8 @@ def _optimize_from_benchmark(
             f"mini-batch {batch} is not composable from measured sizes "
             f"{sizes} (policy {benchmark.policy.value})"
         )
-    path = _division(sizes, t1_times, times, batch)
-    config = _configuration(benchmark, t1, path)
+    path = _division(t1, batch, partial(_last_summand, sizes, t1_times, times))
+    config = _configuration(t1, path)
     if rec:
         _record_wr_provenance(
             rec, benchmark, workspace_limit, t1_micros, times,
@@ -234,8 +225,10 @@ def _optimize_from_benchmark(
 
 
 def _record_wr_provenance(
-    rec, benchmark, workspace_limit, t1, times, winner_size, config,
-    unconstrained, constrained, kernel=None,
+    rec: observability.ProvenanceRecorder, benchmark: KernelBenchmark, workspace_limit: int,
+    t1: dict[int, MicroConfig], times: list[float], winner_size: int,
+    config: Configuration, unconstrained: MicroConfig | None,
+    constrained: MicroConfig | None, kernel: str | None = None,
 ) -> None:
     """Post-hoc decision log for one WR pass (only when provenance is on).
 
@@ -328,13 +321,11 @@ def trace_wr(benchmark: KernelBenchmark, workspace_limit: int) -> list[WRTraceRo
     """
     batch = benchmark.geometry.n
     t1 = t1_table(benchmark, workspace_limit)
-    sizes, t1_times, _ = t1
-    times = _wr_dp(sizes, t1_times, batch)
-    micros = _micros(benchmark, t1, list(range(len(sizes))))
+    times = _wr_dp(t1.sizes, t1.times, batch)
+    last = partial(_last_summand, t1.sizes, t1.times, times)
     return [
-        WRTraceRow(i, times[i], micros[_last_summand(sizes, t1_times, times, i)],
-                   _configuration(benchmark, t1,
-                                  _division(sizes, t1_times, times, i)))
+        WRTraceRow(i, times[i], t1.micros([last(i)])[0],
+                   _configuration(t1, _division(t1, i, last)))
         for i in range(1, batch + 1)
         if math.isfinite(times[i])
     ]

@@ -93,13 +93,20 @@ class TestColumnarT1AgainstScan:
            limit=st.none() | st.sampled_from([0, 63, 64, 100, 128, 5000]))
     def test_fastest_micro_and_t1_equal_the_scan(self, table, limit):
         bench = synth_benchmark(16, table)
-        sizes, times, rows = bench.t1_columns(limit)
+        columns = bench.t1_columns(limit)
+        sizes, times, rows = columns.sizes, columns.times, columns.rows
         t1 = {
             size: MicroConfig(size, algo, time, workspace)
             for size, (algo, time, workspace) in zip(
                 sizes, bench.columns().row_values(rows))
         }
         assert times == [micro.time for micro in t1.values()]
+        every = list(range(len(sizes)))
+        assert columns.micros(every) == list(t1.values())
+        # Built once per column: a second ask returns the same objects.
+        assert all(a is b for a, b in zip(
+            bench.t1_columns(limit).micros(every[::-1]),
+            columns.micros(every)[::-1]))
         for size in sorted(table):
             best = _first_fastest(bench.results[size], limit)
             micro = bench.fastest_micro(size, limit)

@@ -167,8 +167,8 @@ def reference_rebuild(choice, batch: int) -> Configuration:
 
 def fast_choice(bench, t1, times):
     """``reference_wr_dp``'s ``choice`` list from the fast DP's ``times``."""
-    sizes, t1_times, _ = t1
-    micros = _t1_micros(bench, t1)
+    sizes, t1_times = t1.sizes, t1.times
+    micros = _t1_micros(t1)
     return [None] + [
         micros[sizes[_last_summand(sizes, t1_times, times, i)]]
         if math.isfinite(times[i]) else None
@@ -215,8 +215,8 @@ class TestFastDPAgainstReference:
                 t1_table(bench, limit)
             return
         t1 = t1_table(bench, limit)
-        sizes, t1_times, _ = t1
-        assert list(_t1_micros(bench, t1).items()) == list(expected_t1.items())
+        sizes, t1_times = t1.sizes, t1.times
+        assert list(_t1_micros(t1).items()) == list(expected_t1.items())
         assert t1_times == [micro.time for micro in expected_t1.values()]
         times = _wr_dp(sizes, t1_times, batch)
         choice = fast_choice(bench, t1, times)
@@ -304,7 +304,8 @@ class TestColumnDPOracle:
             assert configs == {"k": expected}
         if not expected_t1:
             return
-        sizes, t1_times, _ = t1_table(bench, _LIMIT)
+        t1 = t1_table(bench, _LIMIT)
+        sizes, t1_times = t1.sizes, t1.times
         times = _wr_dp(sizes, t1_times, batch)
         assert [t.hex() for t in times] == [t.hex() for t in ref_times]
         tensor_times, tensor_choice = _tensor_wr_dp(
