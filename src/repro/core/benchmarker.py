@@ -42,14 +42,10 @@ if TYPE_CHECKING:
 
 @dataclass(eq=False)
 class T1Columns:
-    """``T1`` under one limit bucket, as columns (the WR DP's coins).
-
-    ``sizes`` where something fits, ascending, their ``T1`` ``times`` and
-    their ``block`` ``rows``.  Memoized and shared: treat as read-only.
-    :meth:`micros` builds a column's :class:`MicroConfig` once, when a
-    solve first asks for it; ``error`` is an empty table's memoized
-    :class:`~repro.errors.OptimizationError`.
-    """
+    """``T1`` under one limit bucket as columns: ``sizes`` where something
+    fits, ascending, their ``times`` and ``block`` ``rows``.  Shared: treat
+    as read-only.  :meth:`micros` builds a column's :class:`MicroConfig`
+    once; ``error`` is an empty table's memoized error."""
 
     sizes: list[int]
     times: list[float]

@@ -63,14 +63,9 @@ from repro.errors import OptimizationError
 
 
 def _wr_tensors(t1s: "list[T1Columns]") -> "tuple[np.ndarray, np.ndarray]":
-    """Pack the kernels' ``T1`` columns into padded ``(K, S)`` tensors.
-
-    Row order follows ``t1s``, the kernels'
-    :func:`~repro.core.wr.t1_table` columns: each row lists the sizes where
-    something fits the limit, ascending -- the order the serial DP's
-    first-strict-minimum tie-break depends on -- with their ``T1`` times.
-    Padding cells carry size ``0`` and time ``inf``.
-    """
+    """Pack the kernels' :func:`~repro.core.wr.t1_table` columns (sizes
+    ascending, the order the first-strict-minimum tie-break depends on)
+    into padded ``(K, S)`` tensors: padding is size ``0``, time ``inf``."""
     width = max(len(t1.sizes) for t1 in t1s)
     sizes = np.zeros((len(t1s), width), dtype=np.int64)
     times = np.full((len(t1s), width), np.inf)

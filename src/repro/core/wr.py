@@ -60,23 +60,18 @@ class WRResult:
         return self.undivided_time / self.configuration.time
 
 
-#: Narrowest dense size set (``1..n``) whose DP stages run in numpy.  A numpy
-#: stage costs about 2.2 us, a loop candidate 50 ns: at full width b256 runs
-#: 2.9x and b128 1.5x faster, b32 would run 2x slower.
-_DENSE_NUMPY_WIDTH = 96
+#: Narrowest dense size set (``1..n``) whose DP runs in blocks of
+#: :data:`_BLOCK` stages.  At full width the blocks beat the loop from about
+#: 48 sizes on (b64 1.5x, b128 2.8x, b256 5x faster; b32 1.3x slower).
+_DENSE_NUMPY_WIDTH = 48
+_BLOCK = 16
 
 
 def t1_table(benchmark: KernelBenchmark, workspace_limit: int | None) -> T1Columns:
-    """The DP's coin denominations under one limit, as columns.
-
-    :meth:`~repro.core.benchmarker.KernelBenchmark.t1_columns`, memoized
-    per limit bucket: sizes where something fits, ascending, their ``T1``
-    times and block rows.  :class:`MicroConfig` objects are built only for
-    the columns a division chooses (:func:`_configuration`), once per
-    bucket.  Raises :class:`OptimizationError` when nothing fits; an
-    infeasible bucket keeps (and re-raises) one error, which quotes the
-    bucket's first-seen limit.
-    """
+    """The DP's coins under one limit: the memoized
+    :meth:`~repro.core.benchmarker.KernelBenchmark.t1_columns`.  Raises
+    :class:`OptimizationError` when nothing fits; an infeasible bucket
+    keeps (and re-raises) one error, quoting its first-seen limit."""
     t1 = benchmark.t1_columns(workspace_limit)
     if t1.sizes:
         return t1
@@ -91,22 +86,30 @@ def _wr_dp(sizes: list[int], t1_times: list[float], batch: int) -> list[float]:
     """``times[i]``: optimal time for batch ``i`` (``inf``: not composable).
 
     ``sizes`` ascend.  A dense set at least :data:`_DENSE_NUMPY_WIDTH` wide
-    reduces each stage in numpy with the loop's float64 adds and an exact
-    minimum, so both paths give the same bits.
-    """
+    solves :data:`_BLOCK` stages at a time: candidates from before the block
+    reduce in numpy, the rest loop.  Each candidate is one float64 add and
+    a minimum is exact, so both paths give the same bits."""
     width = len(sizes)
-    if width >= _DENSE_NUMPY_WIDTH and sizes[-1] == width:
-        table = np.full(batch + 1, np.inf)
-        table[0] = 0.0
-        # ``coins[width - m:]`` is T1(m), ..., T1(1): aligned with
-        # ``table[i - m:i]``, each cell is T(i - size) + T1(size).
-        coins = np.array(t1_times[::-1])
-        for i in range(1, batch + 1):
-            m = min(width, i)
-            table[i] = np.minimum.reduce(
-                np.add(table[i - m:i], coins[width - m:]))
-        return table.tolist()
     times = [0.0] + [math.inf] * batch
+    if width >= _DENSE_NUMPY_WIDTH and sizes[-1] == width:
+        table = np.array(times)
+        # ``gather[r, c]`` is T1(r + width - c) (inf past ``width``): the
+        # coin from T(s - width + c) to T(s + r) for a block starting at s.
+        coins = np.array([math.inf, *t1_times] + [math.inf] * _BLOCK)
+        gather = coins[np.arange(_BLOCK)[:, None] + width - np.arange(width)]
+        for s in range(1, batch + 1, _BLOCK):
+            e, lo = min(s + _BLOCK, batch + 1), max(0, s - width)
+            bulk = np.minimum.reduce(table[lo:s] + gather[:e - s, width - s + lo:],
+                                     axis=1).tolist()
+            for i in range(s, e):
+                best = bulk[i - s]
+                for j in range(s, i):  # i - j < _BLOCK <= width
+                    cand = times[j] + t1_times[i - j - 1]
+                    if cand < best:
+                        best = cand
+                times[i] = best
+            table[s:e] = times[s:e]
+        return times
     coins = list(zip(sizes, t1_times))
     for i in range(1, batch + 1):
         best = math.inf
@@ -134,8 +137,7 @@ def _last_summand(
 
 
 def _division(t1: T1Columns, batch: int, last: Callable[[int], int]) -> list[int]:
-    """Columns of the division of ``batch`` whose last summand at each
-    remaining ``i`` is column ``last(i)``, last summand first."""
+    """Columns dividing ``batch``, last summand (``last(i)``) first."""
     path: list[int] = []
     while batch > 0:
         path.append(last(batch))
