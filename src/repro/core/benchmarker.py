@@ -44,8 +44,9 @@ if TYPE_CHECKING:
 class T1Columns:
     """``T1`` under one limit bucket as columns: ``sizes`` where something
     fits, ascending, their ``times`` and ``block`` ``rows``.  Shared: treat
-    as read-only.  :meth:`micros` builds a column's :class:`MicroConfig`
-    once; ``error`` is an empty table's memoized error."""
+    as read-only.  :meth:`micros` builds a column's :class:`MicroConfig` on
+    first use (racing solves may build equal copies); ``error`` is an empty
+    table's memoized error."""
 
     sizes: list[int]
     times: list[float]
